@@ -9,10 +9,12 @@ a uniform grid over [0, 1]; each interval contributes a midpoint-rule term
 
     L_d(u, v) = 1/(2h) <m'(v-u), m'(v-u)> + alpha/(2h) <v'-u', v'-u'>,
 
-where ``m = (u+v)/2`` and ``h`` is the step.  The discrete action is the sum
-of these terms, evaluated either with direct coefficient convolutions or with
-zero-padded FFTs (same value to round-off).  The gradient of the action with
-respect to the interior coefficients is computed analytically.
+where ``m = (u+v)/2`` and ``h`` is the step.  The discrete action sums these
+terms.  :func:`action_and_gradient`, the solver's kernel, returns it with its
+analytic gradient in one batched pass with no loop over intervals: FFTs of all
+midpoint derivatives and increments give every product ``m_k' delta_k``, and
+inverse FFTs against the conjugate spectra give the gradient's correlations.
+:func:`discrete_action` keeps a direct-convolution ``naive`` reference mode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import derivative, inner_l2, monomial_weights, mul_naive
+from .poly import derivative, inner_l2, mul_naive
 
 __all__ = [
     "DiscretePath",
@@ -30,13 +32,14 @@ __all__ = [
     "lagrangian",
     "discrete_lagrangian",
     "discrete_action",
+    "action_and_gradient",
     "action_gradient",
 ]
 
 
 def check_alpha(alpha: float) -> float:
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     return float(alpha)
 
 
@@ -103,11 +106,9 @@ def discrete_lagrangian(phi_k, phi_k1, h: float, alpha: float) -> float:
 
 @lru_cache(maxsize=256)
 def _shifted_weights(m: int) -> np.ndarray:
-    """Disk monomial norms indexed one slot up: ``w[i] = pi/i``, ``w[0] = 0``.
-
-    Matches arrays whose entry i carries the coefficient of ``z**(i-1)``
-    (entry 0 is structurally zero), the layout used inside the action
-    evaluation to keep derivative arrays contiguous.
+    """Disk monomial norms indexed one slot up: ``w[i] = pi/i``, ``w[0] = 0``,
+    for the kernels' shifted layout, where entry i of a derivative (``i * c_i``)
+    or of a product carries ``z**(i-1)``; it keeps every array write contiguous.
     """
     w = np.zeros(m)
     w[1:] = np.pi / np.arange(1, m)
@@ -115,98 +116,80 @@ def _shifted_weights(m: int) -> np.ndarray:
     return w
 
 
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    """Row spectra of an (N, n) factor, zero-padded along axis 1 to the next
+    power of two >= ``2n-1`` so that products of two factors do not wrap."""
+    return np.fft.fft(x, 1 << (2 * x.shape[1] - 2).bit_length(), axis=-1)
+
+
+def _sq_norms(x: np.ndarray) -> float:
+    """``sum_k <x_k, x_k>`` over the rows of a shifted-layout array."""
+    sq = np.abs(x)
+    sq *= sq
+    return float(np.sum(sq @ _shifted_weights(x.shape[1])))
+
+
 def discrete_action(path: DiscretePath, alpha: float, mode: str = "naive") -> float:
     """Sum of the per-interval discrete energies.
 
     ``mode="naive"`` multiplies each interval's midpoint derivative and
-    increment by direct convolution; ``mode="fft"`` pads both factors, takes
-    their forward transforms, multiplies component-wise, and transforms
-    back, interval by interval.  The two modes share the same O(N n) staging
-    (derivatives, midpoints, increments, derivative-difference term) and
-    agree to round-off; they differ only in the product kernel, which is
-    O(N n**2) versus O(N n log n).
+    increment by direct convolution, interval by interval: the O(N n**2)
+    reference.  ``mode="fft"`` forms all N products at once from batched
+    zero-padded FFTs, O(N n log n).  The modes agree to round-off.
     """
     alpha = check_alpha(alpha)
     if mode not in ("naive", "fft"):
         raise ValueError(f"mode must be 'naive' or 'fft', got {mode!r}")
     steps = path.steps
-    n = path.degree_bound
-    h = path.h
-    # Shifted layout: entry i holds i * c_i, the coefficient of z**(i-1) of
-    # the derivative; entry 0 is zero.  Keeps every array write contiguous.
+    derivs = steps * np.arange(path.degree_bound)
+    if mode == "naive":
+        mids = (derivs[:-1] + derivs[1:]) / 2.0
+        prods = np.array([np.convolve(m, d) for m, d in zip(mids, steps[1:] - steps[:-1])])
+    else:
+        prods = _spectrum((derivs[:-1] + derivs[1:]) / 2.0)
+        prods *= _spectrum(steps[1:] - steps[:-1])
+        prods = np.fft.ifft(prods, axis=-1)[:, : 2 * path.degree_bound - 1]
+    energy = _sq_norms(prods) + alpha * _sq_norms(derivs[1:] - derivs[:-1])
+    return energy / (2.0 * path.h)
+
+
+def action_and_gradient(path: DiscretePath, alpha: float) -> tuple[float, np.ndarray]:
+    """The fft-mode :func:`discrete_action` and its :func:`action_gradient`
+    from one batched pass over all intervals.
+
+    With ``prod_k = m_k' delta_k``, the derivative of interval k's energy
+    with respect to coefficient j of its end step is ``(j/2 <prod_k,
+    z**(j-1) delta_k> + <prod_k, z**j m_k'> + alpha pi j delta_k[j]) / h``;
+    for its start step the last two terms change sign.
+    """
+    alpha = check_alpha(alpha)
+    if path.num_intervals < 2:
+        raise ValueError("gradient needs at least one interior step (N >= 2)")
+    steps, n, h = path.steps, path.degree_bound, path.h
     derivs = steps * np.arange(n)
     diffs = derivs[1:] - derivs[:-1]
-    a1 = (alpha / (2.0 * h)) * float(np.sum(np.abs(diffs) ** 2 * _shifted_weights(n)))
-
-    mid_derivs = (derivs[:-1] + derivs[1:]) / 2.0
-    increments = (steps[1:] - steps[:-1]) / h
-    full = 2 * n - 1  # products inherit the one-slot shift
-    w_full = _shifted_weights(full)
-    size = 1 << (full - 1).bit_length()
-
-    a2 = 0.0
-    for k in range(path.num_intervals):
-        if mode == "naive":
-            prod = np.convolve(mid_derivs[k], increments[k])
-        else:
-            spectrum = np.fft.fft(mid_derivs[k], size)
-            spectrum *= np.fft.fft(increments[k], size)
-            prod = np.fft.ifft(spectrum)[:full]
-        a2 += float(np.abs(prod) ** 2 @ w_full)
-    return a1 + (h / 2.0) * a2
-
-
-def _inner_shifted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out[s] = <a, z**s b>`` for ``s = 0 .. len(a)-1``.
-
-    numpy.correlate conjugates its second argument, which matches the
-    conjugate-linear slot of the inner product.
-    """
-    wa = monomial_weights(len(a)) * a
-    return np.correlate(wa, b, mode="full")[len(b) - 1 :]
+    spectra = _spectrum(steps[1:] - steps[:-1]), _spectrum((derivs[:-1] + derivs[1:]) / 2.0)
+    prods = np.fft.ifft(spectra[0] * spectra[1], axis=-1)[:, : 2 * n - 1]
+    action = (_sq_norms(prods) + alpha * _sq_norms(diffs)) / (2.0 * h)
+    weighted = np.fft.fft(prods * _shifted_weights(2 * n - 1), spectra[0].shape[1], axis=-1)
+    # Released early: a lower peak spares the page faults of regrowing the
+    # heap on every call.
+    del prods
+    # <prod_k, z**(j-1) delta_k> and <prod_k, z**j m_k'> for j < n, each one
+    # inverse FFT of the weighted products' spectrum times a conjugate factor
+    # spectrum.  The circular correlation reads product coefficients up to
+    # j + n - 1 < 2n - 1 <= size, so wrap-around cannot reach them.
+    for s in spectra:
+        np.multiply(np.conjugate(s, out=s), weighted, out=s)
+    corr_delta, corr_mid = (np.fft.ifft(s, axis=-1)[:, :n] for s in spectra)
+    shared = 0.5 * np.arange(n) * corr_delta
+    signed = corr_mid + (alpha * np.pi) * diffs
+    return action, (shared[:-1] + signed[:-1] + shared[1:] - signed[1:]) / h
 
 
 def action_gradient(path: DiscretePath, alpha: float) -> np.ndarray:
-    """Gradient of :func:`discrete_action` in the interior coefficients.
-
-    Returns an (N-1, n) complex array ``G`` for the interior steps
-    ``k = 1 .. N-1``, packed so that ``G.real`` is the derivative with respect
-    to the real part of each coefficient and ``G.imag`` the derivative with
-    respect to the imaginary part.
-    """
-    alpha = check_alpha(alpha)
-    N = path.num_intervals
-    if N < 2:
-        raise ValueError("gradient needs at least one interior step (N >= 2)")
-    steps = path.steps
-    n = path.degree_bound
-    h = path.h
-    grads = np.zeros((N + 1, n), dtype=complex)
-    idx = np.arange(n)
-
-    for k in range(N):
-        u = steps[k]
-        v = steps[k + 1]
-        mid_deriv = derivative((u + v) / 2.0)
-        delta = v - u
-        prod = mul_naive(mid_deriv, delta)
-        s_delta = _inner_shifted(prod, delta)
-        s_mid = _inner_shifted(prod, mid_deriv)
-
-        # d/du_j of m'(v-u) is (z**j)'/2 (v-u) - m' z**j; for v_j the sign of
-        # the second term flips.  Index j-1 of s_delta carries <prod, z**(j-1) delta>.
-        term_deriv = np.zeros(n, dtype=complex)
-        term_deriv[1:] = 0.5 * idx[1:] * s_delta[: n - 1]
-        term_mul = s_mid[:n]
-        grads[k] += (term_deriv - term_mul) / h
-        grads[k + 1] += (term_deriv + term_mul) / h
-
-        if alpha > 0:
-            # <D, (z**j)'> = j * pi/j * D[j-1] = pi D[j-1] for the diagonal product.
-            ddelta = derivative(delta)
-            term_alpha = np.zeros(n, dtype=complex)
-            term_alpha[1:] = (alpha * np.pi / h) * ddelta[: n - 1]
-            grads[k] -= term_alpha
-            grads[k + 1] += term_alpha
-
-    return grads[1:N]
+    """Gradient of :func:`discrete_action` in the interior coefficients: an
+    (N-1, n) complex array ``G`` for the steps ``k = 1 .. N-1`` with ``G.real``
+    the derivative in the real part of each coefficient, ``G.imag`` in its
+    imaginary part."""
+    return action_and_gradient(path, alpha)[1]

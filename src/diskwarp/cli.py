@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import DiscretePath, action_gradient, discrete_action
+from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
 from .config import ExperimentConfig, load_config
 from .errors import (
     BranchFailureError,
@@ -169,26 +169,38 @@ def run_check(stream=sys.stdout) -> int:
         worst = max(worst, abs(a - b) / (1 + abs(a)))
     report("action fft mode matches naive mode", worst <= 1e-10, f"worst {worst:.2e}")
 
-    worst = 0.0
-    eps = 1e-6
-    for _ in range(3):
-        steps = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        path = DiscretePath(steps)
-        grad = action_gradient(path, 0.7)
+    def fd_error(steps, alpha, grad, eps=1e-6):
+        """Worst gap of ten sampled components of ``grad`` to finite differences."""
+        worst = 0.0
         for _ in range(10):
-            k = int(rng.integers(1, 5))
-            j = int(rng.integers(0, 6))
+            k = int(rng.integers(1, steps.shape[0] - 1))
+            j = int(rng.integers(0, steps.shape[1]))
             re = bool(rng.integers(0, 2))
             delta = eps if re else 1j * eps
             sp, sm = steps.copy(), steps.copy()
             sp[k, j] += delta
             sm[k, j] -= delta
-            fd = (discrete_action(DiscretePath(sp), 0.7) -
-                  discrete_action(DiscretePath(sm), 0.7)) / (2 * eps)
+            fd = (discrete_action(DiscretePath(sp), alpha) -
+                  discrete_action(DiscretePath(sm), alpha)) / (2 * eps)
             an = grad[k - 1, j].real if re else grad[k - 1, j].imag
             worst = max(worst, abs(fd - an) / (1 + abs(fd)))
+        return worst
+
+    worst = 0.0
+    for _ in range(3):
+        steps = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        worst = max(worst, fd_error(steps, 0.7, action_gradient(DiscretePath(steps), 0.7)))
     report("analytic action gradient matches finite differences", worst <= 1e-6,
            f"worst {worst:.2e}")
+
+    worst_f = worst_g = 0.0
+    for _ in range(3):  # at the shipped (N, n) = (20, 16); larger actions take a larger step
+        steps = rng.standard_normal((21, 16)) + 1j * rng.standard_normal((21, 16))
+        f, grad = action_and_gradient(DiscretePath(steps), 0.7)
+        worst_f = max(worst_f, abs(f / discrete_action(DiscretePath(steps), 0.7, "naive") - 1))
+        worst_g = max(worst_g, fd_error(steps, 0.7, grad, eps=1e-4))
+    report("fused action and gradient match naive mode and finite differences",
+           worst_f <= 1e-12 and worst_g <= 1e-6, f"worst {worst_f:.2e} / {worst_g:.2e}")
 
     worst = 0.0
     for alpha in (0.0, 0.1, 1.0, 100.0):

@@ -33,8 +33,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigValidationError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if self.num_steps < 2:
             raise ConfigValidationError(f"N must be at least 2, got {self.num_steps}")
         if self.degree_bound < 2:
@@ -50,9 +50,10 @@ class ExperimentConfig:
             raise ConfigValidationError(
                 f"format must be 'csv' or 'svg', got {self.frame_format!r}"
             )
-        if self.mesh_circles < 1 or self.mesh_rays < 1:
+        counts = (self.mesh_circles, self.mesh_rays)
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in counts):
             raise ConfigValidationError(
-                f"mesh counts must be positive, got circles={self.mesh_circles} "
+                f"mesh counts must be positive integers, got circles={self.mesh_circles} "
                 f"rays={self.mesh_rays}"
             )
 
@@ -89,10 +90,10 @@ def load_config(path) -> ExperimentConfig:
     target = []
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list)) or len(pair) != 2 or not all(
-            isinstance(v, (int, float)) for v in pair
+            isinstance(v, (int, float)) and np.isfinite(v) for v in pair
         ):
             raise ConfigValidationError(
-                f"{path}: target[{i}] must be a [re, im] pair, got {pair!r}"
+                f"{path}: target[{i}] must be a [re, im] pair of finite numbers, got {pair!r}"
             )
         target.append(complex(pair[0], pair[1]))
 
@@ -105,8 +106,8 @@ def load_config(path) -> ExperimentConfig:
         num_steps=num_steps,
         degree_bound=degree_bound,
         target=np.asarray(target, dtype=complex),
-        mesh_circles=int(mesh.get("circles", 8)),
-        mesh_rays=int(mesh.get("rays", 16)),
+        mesh_circles=mesh.get("circles", 8),
+        mesh_rays=mesh.get("rays", 16),
         frame_format=raw.get("format", "svg"),
         output=raw.get("output"),
     )

@@ -3,10 +3,11 @@
 Given a target map, the solver truncates it to the working degree bound,
 interpolates linearly from the identity to build an initial path, and runs a
 quasi-Newton descent (limited-memory BFGS with a backtracking sufficient-
-decrease line search) over the interior coefficients.  Endpoints are never
-touched.  Optimization happens in the ambient coefficient space; membership
-in the conformal maps is certified afterwards by sampling the derivative
-modulus on a polar grid.
+decrease line search) over the interior coefficients, each evaluation one call
+of the batched kernel :func:`~diskwarp.action.action_and_gradient` for action
+and gradient together.  Endpoints are never touched.  Optimization happens in
+the ambient coefficient space; membership in the conformal maps is certified
+afterwards by sampling the derivative modulus on a polar grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import DiscretePath, action_gradient, check_alpha, discrete_action
+from .action import DiscretePath, action_and_gradient, check_alpha
 from .errors import NoConvergenceError, NotConformalError
 from .poly import as_coeffs, derivative, evaluate
 
@@ -146,10 +147,8 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         return DiscretePath(steps)
 
     def fun_grad(x: np.ndarray):
-        path = to_path(x)
-        f = discrete_action(path, config.alpha, mode="naive")
-        g = action_gradient(path, config.alpha).ravel()
-        return f, np.concatenate([g.real, g.imag])
+        f, g = action_and_gradient(to_path(x), config.alpha)
+        return f, np.concatenate([g.real.ravel(), g.imag.ravel()])
 
     interior0 = path0.steps[1:-1].ravel()
     x0 = np.concatenate([interior0.real, interior0.imag])

@@ -5,6 +5,7 @@ import pytest
 
 from diskwarp.action import (
     DiscretePath,
+    action_and_gradient,
     action_gradient,
     discrete_action,
     discrete_lagrangian,
@@ -195,10 +196,36 @@ def test_gradient_single_direction_richardson():
         assert abs(richardson - an) <= 1e-7 * (1 + abs(richardson))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+@pytest.mark.parametrize("num_steps,n", [(2, 2), (3, 5), (20, 16), (40, 64), (20, 128)])
+def test_action_and_gradient_match_interval_sum_and_finite_differences(num_steps, n, alpha):
+    rng = np.random.default_rng(13)
+    # Coefficients decaying like a map's keep the action moderate at large n,
+    # so the difference quotients are not dominated by round-off.
+    shape = (num_steps + 1, n)
+    steps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + np.arange(n))
+    path = DiscretePath(steps)
+    f, grad = action_and_gradient(path, alpha)
+    expected = sum(
+        discrete_lagrangian(steps[k], steps[k + 1], path.h, alpha) for k in range(num_steps)
+    )
+    assert f == pytest.approx(expected, rel=1e-12)
+    for _ in range(8):
+        k = int(rng.integers(1, num_steps))
+        j = int(rng.integers(0, n))
+        real_part = bool(rng.integers(0, 2))
+        fd = fd_component(steps, alpha, k, j, real_part, eps=1e-5)
+        an = grad[k - 1, j].real if real_part else grad[k - 1, j].imag
+        assert abs(fd - an) <= 1e-6 * (1 + abs(fd))
+    assert np.array_equal(action_gradient(path, alpha), grad)
+
+
 def test_gradient_needs_interior_step():
     path = random_path(np.random.default_rng(8), 1, 4)
     with pytest.raises(ValueError):
         action_gradient(path, 0.1)
+    with pytest.raises(ValueError):
+        action_and_gradient(path, 0.1)
 
 
 def test_path_validation_and_properties():
@@ -215,7 +242,8 @@ def test_path_validation_and_properties():
 
 def test_alpha_validation():
     path = DiscretePath(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        discrete_action(path, -0.5)
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            discrete_action(path, bad)
     with pytest.raises(ValueError):
         lagrangian([0, 1], [0, 1], -2.0)

@@ -57,6 +57,13 @@ def test_config_validation_errors(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["circles", "rays"])
+def test_mesh_counts_must_be_integers(tmp_path, key):
+    mesh = {"circles": 2, "rays": 4, key: 2.7}
+    with pytest.raises(ConfigValidationError, match=f"{key}=2.7"):
+        load_config(write_config(tmp_path, mesh=mesh))
+
+
 def test_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "alpha": }')
@@ -120,6 +127,23 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["solve", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"target": [[0.0, 0.0], [float("nan"), 0.0]]},
+        {"target": [[0.0, 0.0], [0.5, float("-inf")]]},
+    ],
+    ids=["alpha-nan", "alpha-inf", "target-nan", "target-inf"],
+)
+def test_cli_rejects_non_finite_values(tmp_path, capsys, overrides):
+    config_path = write_config(tmp_path, name="nonfinite", **overrides)
+    assert main(["solve", str(config_path), "--output", str(tmp_path / "nf-out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "nf-out").exists()
+
+
 def test_cli_nonconformal_exit_code(tmp_path):
     # derivative of the target vanishes on the certification grid
     bad = write_config(
@@ -178,3 +202,9 @@ def test_experiment_config_direct_validation():
             name="x", alpha=0.1, num_steps=1, degree_bound=4,
             target=np.array([0, 1], dtype=complex),
         )
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ConfigValidationError, match="alpha"):
+            ExperimentConfig(
+                name="x", alpha=alpha, num_steps=4, degree_bound=4,
+                target=np.array([0, 1], dtype=complex),
+            )
