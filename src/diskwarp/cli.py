@@ -280,14 +280,15 @@ def main(argv=None) -> int:
             return 0 if failures == 0 else 1
         if args.verb == "sweep":
             config = load_config(args.config)
-            alphas = [float(v) for v in args.alpha.split(",") if v]
+            try:
+                alphas = [float(v) for v in args.alpha.split(",") if v]
+            except ValueError as exc:
+                raise ConfigValidationError(f"--alpha: {exc}") from None
             if not alphas:
-                print("sweep: empty alpha list", file=sys.stderr)
-                return 1
-            base = Path(args.output or config.output or f"out/{config.name}")
-            status = 0
-            for alpha in alphas:
-                variant = ExperimentConfig(
+                raise ConfigValidationError("--alpha: empty alpha list")
+            # every variant is validated before the first solve
+            variants = [
+                ExperimentConfig(
                     name=f"{config.name}-alpha{alpha:g}",
                     alpha=alpha,
                     num_steps=config.num_steps,
@@ -297,6 +298,12 @@ def main(argv=None) -> int:
                     mesh_rays=config.mesh_rays,
                     frame_format=config.frame_format,
                 )
+                for alpha in alphas
+            ]
+            base = Path(args.output or config.output or f"out/{config.name}")
+            status = 0
+            for variant in variants:
+                alpha = variant.alpha
                 try:
                     result, out_dir, elapsed = run_experiment(
                         variant, base / f"alpha-{alpha:g}"

@@ -33,6 +33,12 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        # the name is the default output directory under out/, so it must not
+        # be able to point anywhere else
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigValidationError(
+                f"name must be a single plain path component, got {self.name!r}"
+            )
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if self.num_steps < 2:

@@ -10,7 +10,7 @@ from diskwarp.config import ExperimentConfig, load_config
 from diskwarp.errors import ConfigParseError, ConfigValidationError
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, file_name=None, **overrides):
     doc = {
         "name": "tiny",
         "alpha": 0.1,
@@ -21,7 +21,7 @@ def write_config(tmp_path, **overrides):
         "format": "csv",
     }
     doc.update(overrides)
-    path = tmp_path / f"{doc['name']}.json"
+    path = tmp_path / (file_name or f"{doc['name']}.json")
     path.write_text(json.dumps(doc))
     return path
 
@@ -122,9 +122,25 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "does-not-exist.json")]) == 1
 
 
-def test_cli_config_error_exit_code(tmp_path):
+# names that are not a single plain path component; as the default output
+# directory out/<name> they would point outside out/
+UNSAFE_NAMES = ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
+
+
+def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     bad = write_config(tmp_path, name="bad", alpha=-3.0)
     assert main(["solve", str(bad)]) == 1
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for name in UNSAFE_NAMES:
+        unsafe = write_config(tmp_path, file_name="unsafe.json", name=name)
+        for verb in ("solve", "oracle"):
+            assert main([verb, str(unsafe)]) == 1
+            assert "config error" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "unsafe.json", "work"]
 
 
 @pytest.mark.parametrize(
@@ -198,6 +214,18 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep-out" / "alpha-1" / "report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "alphas", ["0.1,abc", "0.1,nan", "0.1,inf", "0.1,-1", ","],
+    ids=["non-numeric", "nan", "inf", "negative", "empty"],
+)
+def test_cli_sweep_rejects_bad_alpha_list(tmp_path, capsys, alphas):
+    config_path = write_config(tmp_path, name="sweepbad")
+    out = tmp_path / "sweep-out"
+    assert main(["sweep", "--alpha", alphas, str(config_path), "--output", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()  # the whole list is checked before the first solve
+
+
 def test_experiment_config_direct_validation():
     with pytest.raises(ConfigValidationError):
         ExperimentConfig(
@@ -208,5 +236,11 @@ def test_experiment_config_direct_validation():
         with pytest.raises(ConfigValidationError, match="alpha"):
             ExperimentConfig(
                 name="x", alpha=alpha, num_steps=4, degree_bound=4,
+                target=np.array([0, 1], dtype=complex),
+            )
+    for name in UNSAFE_NAMES:
+        with pytest.raises(ConfigValidationError, match="path component"):
+            ExperimentConfig(
+                name=name, alpha=0.1, num_steps=4, degree_bound=4,
                 target=np.array([0, 1], dtype=complex),
             )

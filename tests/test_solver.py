@@ -1,8 +1,12 @@
 """Two-point geodesic solver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import diskwarp.solver as solver_module
+from diskwarp.config import load_config
 from diskwarp.errors import NoConvergenceError, NotConformalError
 from diskwarp.linear_geodesics import closed_form
 from diskwarp.solver import (
@@ -18,6 +22,7 @@ from diskwarp.action import DiscretePath
 
 PI = np.pi
 ROTATION = np.exp(0.4j * PI)
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def history_is_non_increasing(history):
@@ -198,3 +203,25 @@ def test_solver_config_validation():
         SolverConfig(n=16, num_steps=20, alpha=0.1, grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(n=16, num_steps=20, alpha=0.1, conformality_samples=(0, 8))
+
+
+@pytest.mark.parametrize("config_path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_lbfgs_reaches_grad_tol_at_about_one_evaluation_per_iteration(config_path, monkeypatch):
+    """Once the action no longer resolves the decrease of a step, the line
+    search accepts on the directional derivative, so L-BFGS alone reaches
+    grad_tol without a run of rejected trial steps."""
+    calls = []
+    original = solver_module.action_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "action_and_gradient", counted)
+    config = load_config(config_path)
+    result = solve(
+        SolverConfig(n=config.degree_bound, num_steps=config.num_steps, alpha=config.alpha),
+        config.target,
+    )
+    assert result.converged and result.grad_norm <= 1e-8
+    assert len(calls) <= result.iterations + 15
