@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import derivative, inner_l2, mul_naive
+from .poly import check_alpha, derivative, inner_l2, mul_naive
 
 __all__ = [
     "DiscretePath",
@@ -35,12 +35,6 @@ __all__ = [
     "action_and_gradient",
     "action_gradient",
 ]
-
-
-def check_alpha(alpha: float) -> float:
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
-    return float(alpha)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,132 @@
+"""The numerical identities the package rests on, one function each.
+
+Every check draws its samples from ``rng``, runs ``count`` trials and returns
+the worst error it saw (NaN if any trial gave NaN).  ``diskwarp check`` runs
+them through :data:`BATTERY`; the test suite calls the same functions with
+its own seeds, counts and tolerances.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
+from .linear_geodesics import (LinearState, closed_form, conserved_quantity,
+                               integrate_reduced, match_velocity)
+from .poly import adjoint_dz, derivative, inner_l2, mul_fft, mul_naive
+
+__all__ = ["BATTERY", "adjoint", "fft_product", "action_modes", "gradient", "conservation",
+           "shooting"]
+
+
+def _poly_pair(rng, max_len):
+    """Two random complex polynomials of 1 to ``max_len - 1`` coefficients;
+    both lengths are drawn first."""
+    lengths = rng.integers(1, max_len), rng.integers(1, max_len)
+    return [rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m) for m in lengths]
+
+
+def _steps(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _near(rng, center):
+    """``center`` plus a random point of the square of half-width 0.5."""
+    return center + 0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def adjoint(rng, count):
+    """Relative gap in ``<xi, eta'> = <adjoint_dz(xi), eta>``, which also pins
+    the ``pi/(i+1)`` normalization of the inner product."""
+    worst = 0.0
+    for _ in range(count):
+        xi, eta = _poly_pair(rng, 33)
+        lhs = inner_l2(xi, derivative(eta))
+        worst = np.maximum(worst, abs(lhs - inner_l2(adjoint_dz(xi), eta)) / (1 + abs(lhs)))
+    return worst
+
+
+def fft_product(rng, count):
+    """Gap of :func:`mul_fft` to the direct convolution relative to the largest
+    coefficient; infinite if the two products differ in length."""
+    worst = 0.0
+    for _ in range(count):
+        p, q = _poly_pair(rng, 65)
+        a, b = mul_naive(p, q), mul_fft(p, q)
+        if a.shape != b.shape:
+            return np.inf
+        worst = np.maximum(worst, np.max(np.abs(a - b)) / (1 + np.max(np.abs(a))))
+    return worst
+
+
+def action_modes(rng, count, alpha=0.3):
+    """Relative gap of the fft-mode and the fused kernel's action to the naive
+    mode, on random paths at the shipped (N, n) = (20, 16)."""
+    worst = 0.0
+    for _ in range(count):
+        path = DiscretePath(_steps(rng, (21, 16)))
+        naive = discrete_action(path, alpha, "naive")
+        for other in (discrete_action(path, alpha, "fft"), action_and_gradient(path, alpha)[0]):
+            worst = np.maximum(worst, abs(naive - other) / (1 + abs(naive)))
+    return worst
+
+
+def gradient(rng, count, shape, alpha, eps=1e-6):
+    """Relative gap of :func:`action_gradient` to central differences of the
+    action, in the real and the imaginary part of every interior coefficient
+    of random paths of ``shape`` (N+1, n)."""
+    worst = 0.0
+    for _ in range(count):
+        steps = _steps(rng, shape)
+        for (k, j), g in np.ndenumerate(action_gradient(DiscretePath(steps), alpha)):
+            for delta, an in ((eps, g.real), (1j * eps, g.imag)):
+                sp, sm = steps.copy(), steps.copy()
+                sp[k + 1, j] += delta
+                sm[k + 1, j] -= delta
+                fd = (discrete_action(DiscretePath(sp), alpha)
+                      - discrete_action(DiscretePath(sm), alpha)) / (2 * eps)
+                worst = np.maximum(worst, abs(fd - an) / (1 + abs(fd)))
+    return worst
+
+
+def conservation(rng, count, alphas=(0.0, 0.1, 1.0, 100.0)):
+    """Largest drift of the energy and the Clairaut momentum along reduced
+    trajectories over unit time, ``count`` random states per alpha."""
+    worst = 0.0
+    for alpha in alphas:
+        for _ in range(count):
+            state = LinearState(_near(rng, 1.0), _near(rng, 0.0))
+            traj = integrate_reduced(state, alpha, 1.0, 1000)
+            for q in conserved_quantity(LinearState(traj[:, 0], traj[:, 1]), alpha):
+                worst = np.maximum(worst, np.max(np.abs(q - q[0])))
+    return worst
+
+
+def shooting(rng, count, alphas=(0.0, 0.1, 1.0, 10.0)):
+    """Largest gap at 101 nodes between :func:`closed_form` and the reduced
+    dynamics started from the velocity :func:`match_velocity` shoots, for
+    random targets near 1 and an alpha drawn from ``alphas``."""
+    ts = np.linspace(0.0, 1.0, 101)
+    worst = 0.0
+    for _ in range(count):
+        c1 = _near(rng, 1.0)
+        alpha = float(rng.choice(alphas))
+        ref = closed_form(1.0 + 0j, c1, alpha, ts)
+        a0 = match_velocity(1.0 + 0j, c1, alpha, steps=1000)
+        traj = integrate_reduced(LinearState(1.0 + 0j, a0), alpha, 1.0, 100)
+        worst = np.maximum(worst, np.max(np.abs(traj[:, 0] - ref)))
+    return worst
+
+
+# (name, check, arguments after ``rng``, tolerance on the worst error)
+BATTERY = [
+    ("adjoint identity <xi, eta'> = <adj xi, eta>", adjoint, (50,), 1e-12),
+    ("fft product matches direct convolution", fft_product, (20,), 1e-12),
+    ("action fft mode and fused kernel match naive mode", action_modes, (5,), 1e-12),
+    ("analytic action gradient matches finite differences", gradient, (3, (6, 6), 0.7), 1e-6),
+    # larger actions take a larger difference step
+    ("analytic action gradient matches finite differences at (N, n) = (20, 16)",
+     gradient, (1, (21, 16), 0.7, 1e-4), 1e-6),
+    ("reduced dynamics conserve energy and Clairaut momentum", conservation, (5,), 1e-10),
+    ("closed form agrees with integrated dynamics", shooting, (3,), 1e-7),
+]

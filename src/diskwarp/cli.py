@@ -6,8 +6,8 @@ Verbs:
   report into the output directory.
 * ``oracle <config>``: closed-form reference path for linear targets,
   written in the same frame/report layout.
-* ``check``: fast deterministic self-test battery of the library's
-  analytic identities; nonzero exit on any failure.
+* ``check``: the analytic identities of :mod:`diskwarp.checks`, the same
+  functions the tests call; nonzero exit on any failure.
 * ``sweep --alpha <list> <config>``: re-run one config across several
   metric weights, one output subdirectory each.
 
@@ -22,11 +22,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
+from .action import DiscretePath, discrete_action
+from .checks import BATTERY
 from .config import ExperimentConfig, load_config
 from .errors import (
     BranchFailureError,
@@ -36,15 +38,8 @@ from .errors import (
     NotConformalError,
 )
 from .frames import warp_frames, write_frames_csv, write_frames_svg
-from .linear_geodesics import (
-    LinearState,
-    closed_form,
-    conserved_quantity,
-    integrate_reduced,
-    match_velocity,
-)
-from .poly import adjoint_dz, derivative, inner_l2, mul_fft, mul_naive
-from .solver import GeodesicResult, SolverConfig, solve
+from .linear_geodesics import closed_form
+from .solver import SolverConfig, solve
 
 __all__ = ["main", "run_experiment", "run_oracle", "run_check"]
 
@@ -56,17 +51,20 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     the solver fails, so output directories never hold partial frames.
     """
     t0 = time.perf_counter()
-    solver_config = SolverConfig(
-        n=config.degree_bound, num_steps=config.num_steps, alpha=config.alpha
-    )
-    result = solve(solver_config, config.target)
+    result = solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps,
+                                alpha=config.alpha), config.target)
     elapsed = time.perf_counter() - t0
 
     out_dir = Path(output_dir or config.output or f"out/{config.name}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    frame_files = _emit_frames(result.path, config, out_dir)
-    report = _format_report(config, result, frame_files)
-    (out_dir / "report.txt").write_text(report)
+    _write_run(config, result.path, out_dir, "solve", [
+        f"converged: {str(result.converged).lower()}",
+        f"iterations: {result.iterations}",
+        f"action: {result.action!r}",
+        f"grad_norm: {result.grad_norm!r}",
+        f"conformal_certificate_min: {float(result.conformal_certificate.min())!r}",
+        f"conformal_certificate: "
+        f"[{', '.join(repr(float(v)) for v in result.conformal_certificate)}]",
+    ])
     return result, out_dir, elapsed
 
 
@@ -86,29 +84,11 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
     path = DiscretePath(steps)
 
     out_dir = Path(output_dir or config.output or f"out/{config.name}-oracle")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    frame_files = _emit_frames(path, config, out_dir)
-    lines = [
-        f"name: {config.name}",
-        f"kind: oracle",
-        f"alpha: {config.alpha!r}",
-        f"time_steps: {config.num_steps}",
-        f"degree_bound: {config.degree_bound}",
-        f"target: {_pairs(target)}",
+    _write_run(config, path, out_dir, "oracle", [
         f"coefficients: {_pairs(coeffs)}",
         f"action: {discrete_action(path, config.alpha)!r}",
-        f"frames: {frame_files}",
-    ]
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    ])
     return path, out_dir
-
-
-def _emit_frames(path: DiscretePath, config: ExperimentConfig, out_dir: Path):
-    frames = warp_frames(path, config.mesh_circles, config.mesh_rays)
-    if config.frame_format == "csv":
-        write_frames_csv(frames, out_dir / "frames.csv")
-        return ["frames.csv"]
-    return write_frames_svg(frames, out_dir)
 
 
 def _pairs(values) -> str:
@@ -117,120 +97,43 @@ def _pairs(values) -> str:
     ) + "]"
 
 
-def _format_report(config: ExperimentConfig, result: GeodesicResult, frame_files) -> str:
+def _write_run(config: ExperimentConfig, path: DiscretePath, out_dir: Path, kind: str, fields):
+    """Write the frames of ``path`` and a report of the config, ``fields`` and
+    the frame files into ``out_dir``, removing the frame files an earlier run
+    left there that the report does not list."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    frames = warp_frames(path, config.mesh_circles, config.mesh_rays)
+    if config.frame_format == "csv":
+        write_frames_csv(frames, out_dir / "frames.csv")
+        frame_files = ["frames.csv"]
+    else:
+        frame_files = write_frames_svg(frames, out_dir)
+    earlier = {p.name for p in out_dir.glob("frame_*.svg") if p.stem[6:].isdigit()}
+    for name in (earlier | {"frames.csv"}) - set(frame_files):
+        (out_dir / name).unlink(missing_ok=True)
     lines = [
         f"name: {config.name}",
-        f"kind: solve",
+        f"kind: {kind}",
         f"alpha: {config.alpha!r}",
         f"time_steps: {config.num_steps}",
         f"degree_bound: {config.degree_bound}",
         f"target: {_pairs(config.target)}",
-        f"converged: {str(result.converged).lower()}",
-        f"iterations: {result.iterations}",
-        f"action: {result.action!r}",
-        f"grad_norm: {result.grad_norm!r}",
-        f"conformal_certificate_min: {float(result.conformal_certificate.min())!r}",
-        f"conformal_certificate: "
-        f"[{', '.join(repr(float(v)) for v in result.conformal_certificate)}]",
+        *fields,
         f"frames: {frame_files}",
     ]
-    return "\n".join(lines) + "\n"
+    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
 
 
-def run_check(stream=sys.stdout) -> int:
-    """Deterministic self-test battery; returns the number of failures."""
+def run_check(stream=None) -> int:
+    """Run :data:`diskwarp.checks.BATTERY` from one seeded generator, one line
+    per check to ``stream`` (default stdout); returns the number of failures."""
     rng = np.random.default_rng(0)
     failures = 0
-
-    def report(name, ok, detail):
-        nonlocal failures
+    for name, check, args, tolerance in BATTERY:
+        worst = check(rng, *args)
+        ok = worst <= tolerance
         failures += not ok
-        stream.write(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}\n")
-
-    def random_poly(max_len=33):
-        m = int(rng.integers(1, max_len))
-        return rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-
-    worst = 0.0
-    for _ in range(50):
-        xi, eta = random_poly(), random_poly()
-        lhs = inner_l2(xi, derivative(eta))
-        rhs = inner_l2(adjoint_dz(xi), eta)
-        worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
-    report("adjoint identity <xi, eta'> = <adj xi, eta>", worst <= 1e-12, f"worst {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(20):
-        p, q = random_poly(65), random_poly(65)
-        a, b = mul_naive(p, q), mul_fft(p, q)
-        worst = max(worst, float(np.max(np.abs(a - b)) / (1 + np.max(np.abs(a)))))
-    report("fft product matches direct convolution", worst <= 1e-12, f"worst {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(5):
-        steps = rng.standard_normal((21, 16)) + 1j * rng.standard_normal((21, 16))
-        path = DiscretePath(steps)
-        a = discrete_action(path, 0.3, "naive")
-        b = discrete_action(path, 0.3, "fft")
-        worst = max(worst, abs(a - b) / (1 + abs(a)))
-    report("action fft mode matches naive mode", worst <= 1e-10, f"worst {worst:.2e}")
-
-    def fd_error(steps, alpha, grad, eps=1e-6):
-        """Worst gap of ten sampled components of ``grad`` to finite differences."""
-        worst = 0.0
-        for _ in range(10):
-            k = int(rng.integers(1, steps.shape[0] - 1))
-            j = int(rng.integers(0, steps.shape[1]))
-            re = bool(rng.integers(0, 2))
-            delta = eps if re else 1j * eps
-            sp, sm = steps.copy(), steps.copy()
-            sp[k, j] += delta
-            sm[k, j] -= delta
-            fd = (discrete_action(DiscretePath(sp), alpha) -
-                  discrete_action(DiscretePath(sm), alpha)) / (2 * eps)
-            an = grad[k - 1, j].real if re else grad[k - 1, j].imag
-            worst = max(worst, abs(fd - an) / (1 + abs(fd)))
-        return worst
-
-    worst = 0.0
-    for _ in range(3):
-        steps = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        worst = max(worst, fd_error(steps, 0.7, action_gradient(DiscretePath(steps), 0.7)))
-    report("analytic action gradient matches finite differences", worst <= 1e-6,
-           f"worst {worst:.2e}")
-
-    worst_f = worst_g = 0.0
-    for _ in range(3):  # at the shipped (N, n) = (20, 16); larger actions take a larger step
-        steps = rng.standard_normal((21, 16)) + 1j * rng.standard_normal((21, 16))
-        f, grad = action_and_gradient(DiscretePath(steps), 0.7)
-        worst_f = max(worst_f, abs(f / discrete_action(DiscretePath(steps), 0.7, "naive") - 1))
-        worst_g = max(worst_g, fd_error(steps, 0.7, grad, eps=1e-4))
-    report("fused action and gradient match naive mode and finite differences",
-           worst_f <= 1e-12 and worst_g <= 1e-6, f"worst {worst_f:.2e} / {worst_g:.2e}")
-
-    worst = 0.0
-    for alpha in (0.0, 0.1, 1.0, 100.0):
-        for _ in range(5):
-            state = LinearState(
-                1.0 + 0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            )
-            traj = integrate_reduced(state, alpha, 1.0, 1000)
-            for q in conserved_quantity(LinearState(traj[:, 0], traj[:, 1]), alpha):
-                worst = max(worst, float(np.max(np.abs(q - q[0]))))
-    report("reduced dynamics conserve energy and Clairaut momentum", worst <= 1e-10,
-           f"worst {worst:.2e}")
-
-    worst = 0.0
-    ts = np.linspace(0.0, 1.0, 101)
-    for _ in range(3):
-        c1 = 1.0 + 0.4 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        ref = closed_form(1.0 + 0j, c1, 0.5, ts)
-        a0 = match_velocity(1.0 + 0j, c1, 0.5, steps=1000)
-        traj = integrate_reduced(LinearState(1.0 + 0j, a0), 0.5, 1.0, 100)
-        worst = max(worst, float(np.max(np.abs(traj[:, 0] - ref))))
-    report("closed form agrees with integrated dynamics", worst <= 1e-7, f"worst {worst:.2e}")
-
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: worst {worst:.2e}", file=stream)
     return failures
 
 
@@ -286,28 +189,22 @@ def main(argv=None) -> int:
                 raise ConfigValidationError(f"--alpha: {exc}") from None
             if not alphas:
                 raise ConfigValidationError("--alpha: empty alpha list")
-            # every variant is validated before the first solve
-            variants = [
-                ExperimentConfig(
-                    name=f"{config.name}-alpha{alpha:g}",
-                    alpha=alpha,
-                    num_steps=config.num_steps,
-                    degree_bound=config.degree_bound,
-                    target=config.target,
-                    mesh_circles=config.mesh_circles,
-                    mesh_rays=config.mesh_rays,
-                    frame_format=config.frame_format,
-                )
+            # every variant and its directory are checked before the first solve
+            variants = {
+                f"alpha-{alpha:g}":
+                    replace(config, name=f"{config.name}-alpha{alpha:g}", alpha=alpha)
                 for alpha in alphas
-            ]
+            }
+            if len(variants) < len(alphas):
+                raise ConfigValidationError(
+                    f"--alpha: values in {args.alpha} that agree to 6 digits share a directory"
+                )
             base = Path(args.output or config.output or f"out/{config.name}")
             status = 0
-            for variant in variants:
+            for dir_name, variant in variants.items():
                 alpha = variant.alpha
                 try:
-                    result, out_dir, elapsed = run_experiment(
-                        variant, base / f"alpha-{alpha:g}"
-                    )
+                    result, out_dir, elapsed = run_experiment(variant, base / dir_name)
                     print(
                         f"alpha={alpha:<8g} action={result.action:<14.9g} "
                         f"iterations={result.iterations:<5d} {elapsed:.2f} s -> {out_dir}"

@@ -107,10 +107,16 @@ def inner_l2(p, q) -> complex:
     return complex(np.sum(a[:m] * np.conj(b[:m]) * monomial_weights(m)))
 
 
+def check_alpha(alpha: float) -> float:
+    """The metric weight ``alpha`` as a float; ValueError unless finite and >= 0."""
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    return float(alpha)
+
+
 def inner_h1(p, q, alpha: float) -> complex:
     """Sobolev inner product ``<p, q> + alpha <p', q'>`` with ``alpha >= 0``."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    alpha = check_alpha(alpha)
     return inner_l2(p, q) + alpha * inner_l2(derivative(p), derivative(q))
 
 

@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from diskwarp.action import DiscretePath, action_gradient, discrete_action, lagrangian
+from diskwarp import checks
+from diskwarp.action import DiscretePath, discrete_action, lagrangian
 from diskwarp.cli import run_experiment
 from diskwarp.config import load_config
-from diskwarp.linear_geodesics import LinearState, closed_form, conserved_quantity, integrate_reduced
-from diskwarp.poly import adjoint_dz, derivative, inner_l2
+from diskwarp.linear_geodesics import closed_form
 from diskwarp.solver import CONFORMAL_MIN_DERIV, SolverConfig, solve
 
 PI = np.pi
@@ -44,16 +44,8 @@ def descent_holds(history):
 
 
 def test_criterion_1_adjointness():
-    rng = np.random.default_rng(1)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(200):
-        mx, me = rng.integers(1, 33), rng.integers(1, 33)
-        xi = rng.uniform(-1, 1, mx) + 1j * rng.uniform(-1, 1, mx)
-        eta = rng.uniform(-1, 1, me) + 1j * rng.uniform(-1, 1, me)
-        lhs = inner_l2(xi, derivative(eta))
-        rhs = inner_l2(adjoint_dz(xi), eta)
-        worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
+    worst = checks.adjoint(np.random.default_rng(1), 200)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     assert criterion(1, ok, f"adjoint identity, 200 pairs, worst rel {worst:.2e}, {elapsed:.2f} s")
@@ -82,13 +74,7 @@ def _interleaved_times(fns, rounds=5, batch_time=0.05):
 def test_criterion_2_fft_equivalence_and_speedup():
     rng = np.random.default_rng(2)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(50):
-        steps = rng.standard_normal((21, 16)) + 1j * rng.standard_normal((21, 16))
-        path = DiscretePath(steps)
-        a = discrete_action(path, 0.3, "naive")
-        b = discrete_action(path, 0.3, "fft")
-        worst = max(worst, abs(a - b) / (1 + abs(a)))
+    worst = checks.action_modes(rng, 50)
 
     ratios = []
     for n in (64, 256, 1024):
@@ -101,31 +87,15 @@ def test_criterion_2_fft_equivalence_and_speedup():
     ok = worst <= 1e-10 and ratios[0] < ratios[1] < ratios[2] and elapsed < 30.0
     assert criterion(
         2, ok,
-        f"fft==naive worst rel {worst:.2e}; naive/fft time ratios "
+        f"fft==fused==naive worst rel {worst:.2e}; naive/fft time ratios "
         f"{ratios[0]:.2f} -> {ratios[1]:.2f} -> {ratios[2]:.2f} "
         f"for n=64,256,1024; {elapsed:.1f} s",
     )
 
 
 def test_criterion_3_gradient_check():
-    rng = np.random.default_rng(3)
     t0 = time.perf_counter()
-    worst = 0.0
-    eps = 1e-6
-    for _ in range(20):
-        steps = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        grad = action_gradient(DiscretePath(steps), 0.4)
-        for k in range(1, 5):
-            for j in range(8):
-                for real_part in (True, False):
-                    delta = eps if real_part else 1j * eps
-                    sp, sm = steps.copy(), steps.copy()
-                    sp[k, j] += delta
-                    sm[k, j] -= delta
-                    fd = (discrete_action(DiscretePath(sp), 0.4)
-                          - discrete_action(DiscretePath(sm), 0.4)) / (2 * eps)
-                    an = grad[k - 1, j].real if real_part else grad[k - 1, j].imag
-                    worst = max(worst, abs(fd - an) / (1 + abs(fd)))
+    worst = checks.gradient(np.random.default_rng(3), 20, (6, 8), 0.4)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
     assert criterion(3, ok, f"every component of 20 random paths, worst rel {worst:.2e}, {elapsed:.1f} s")
@@ -253,25 +223,14 @@ def test_criterion_6_energy_convergence():
 
 
 def test_criterion_7_conservation():
-    rng = np.random.default_rng(7)
     t0 = time.perf_counter()
-    worst = 0.0
-    for alpha in (0.0, 0.1, 1.0, 100.0):
-        for _ in range(20):
-            state = LinearState(
-                1.0 + 0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            )
-            traj = integrate_reduced(state, alpha, 1.0, 1000)
-            qs = np.array([conserved_quantity(LinearState(c, a), alpha) for c, a in traj])
-            worst = max(worst, float(np.max(np.abs(qs - qs[0]))))
+    worst = checks.conservation(np.random.default_rng(7), 20)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
     assert criterion(
         7, ok,
         f"energy and Clairaut momentum drift over unit time, 20 states x 4 alphas: "
-        f"worst {worst:.2e}, "
-        f"{elapsed:.1f} s",
+        f"worst {worst:.2e}, {elapsed:.1f} s",
     )
 
 

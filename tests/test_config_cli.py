@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from diskwarp.cli import main, run_check, run_experiment, run_oracle
+from diskwarp import checks
+from diskwarp.cli import main, run_experiment, run_oracle
 from diskwarp.config import ExperimentConfig, load_config
 from diskwarp.errors import ConfigParseError, ConfigValidationError
 
@@ -109,8 +110,22 @@ def test_oracle_writes_reference_path(tmp_path):
     assert path.steps[-1, 1] == 0.5
 
 
-def test_run_check_passes():
-    assert run_check() == 0
+def test_rerun_into_a_directory_leaves_only_its_own_frames(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "frame_notes.svg").write_text("kept")
+
+    def run(frame_format, num_steps):
+        run_experiment(load_config(write_config(tmp_path, N=num_steps, format=frame_format)), out)
+        return sorted(p.name for p in out.iterdir())
+
+    kept = ["frame_notes.svg", "notes.txt", "report.txt"]
+    assert run("svg", 8) == sorted(kept + [f"frame_{k:03d}.svg" for k in range(9)])
+    assert run("svg", 6) == sorted(kept + [f"frame_{k:03d}.svg" for k in range(7)])
+    assert (out / "report.txt").read_text().endswith("'frame_005.svg', 'frame_006.svg']\n")
+    assert run("csv", 6) == sorted(kept + ["frames.csv"])
+    assert run("svg", 6) == sorted(kept + [f"frame_{k:03d}.svg" for k in range(7)])
 
 
 def test_cli_solve_and_exit_codes(tmp_path, capsys):
@@ -201,6 +216,17 @@ def test_cli_check_verb():
     assert main(["check"]) == 0
 
 
+def test_cli_check_fails_on_a_wrong_gradient(monkeypatch, capsys):
+    exact = checks.action_gradient
+    monkeypatch.setattr(checks, "action_gradient",
+                        lambda path, alpha: exact(path, alpha) * (1 + 1e-4))
+    assert main(["check"]) == 1
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed and all("action gradient matches finite differences" in line for line in failed)
+    assert "check(s) failed" in out
+
+
 def test_cli_sweep(tmp_path, capsys):
     config_path = write_config(tmp_path, name="sweepme")
     code = main([
@@ -215,8 +241,8 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "alphas", ["0.1,abc", "0.1,nan", "0.1,inf", "0.1,-1", ","],
-    ids=["non-numeric", "nan", "inf", "negative", "empty"],
+    "alphas", ["0.1,abc", "0.1,nan", "0.1,inf", "0.1,-1", ",", "0.1,0.1000001", "1,1.0"],
+    ids=["non-numeric", "nan", "inf", "negative", "empty", "same-6-digits", "same-value"],
 )
 def test_cli_sweep_rejects_bad_alpha_list(tmp_path, capsys, alphas):
     config_path = write_config(tmp_path, name="sweepbad")

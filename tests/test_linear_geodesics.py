@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from diskwarp import checks
 from diskwarp.errors import BranchFailureError, SingularInertiaError
 from diskwarp.linear_geodesics import (
     LinearState,
     closed_form,
-    conserved_quantity,
     integrate_reduced,
     match_velocity,
     reduced_rhs,
@@ -56,17 +56,7 @@ def test_scaling_trajectory_squares_affine():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 100.0])
 def test_conserved_quantity_drift(alpha):
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        state = LinearState(
-            1.0 + 0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        )
-        traj = integrate_reduced(state, alpha, 1.0, 1000)
-        qs = np.array(
-            [conserved_quantity(LinearState(c, a), alpha) for c, a in traj]
-        )
-        assert np.max(np.abs(qs - qs[0])) <= 1e-10
+    assert checks.conservation(np.random.default_rng(17), 5, (alpha,)) <= 1e-10
 
 
 def test_closed_form_constant_for_equal_endpoints():
@@ -130,15 +120,7 @@ def test_pure_scalings_stay_real_positive():
 
 
 def test_closed_form_agrees_with_integrated_dynamics():
-    rng = np.random.default_rng(23)
-    ts = np.linspace(0.0, 1.0, 100 + 1)
-    for _ in range(20):
-        c1 = 1.0 + 0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        alpha = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
-        ref = closed_form(1.0 + 0j, c1, alpha, ts)
-        a0 = match_velocity(1.0 + 0j, c1, alpha, steps=1000)
-        traj = integrate_reduced(LinearState(1.0 + 0j, a0), alpha, 1.0, 100)
-        assert np.max(np.abs(traj[:, 0] - ref)) <= 1e-7
+    assert checks.shooting(np.random.default_rng(23), 20) <= 1e-7
 
 
 def geodesic_rk4(c, dc, alpha, steps, every):
