@@ -211,7 +211,7 @@ def main(argv=None) -> int:
                     )
                 except (NoConvergenceError, NotConformalError) as exc:
                     print(f"alpha={alpha:<8g} FAILED: {exc}")
-                    status = 2 if isinstance(exc, NoConvergenceError) else 3
+                    status = max(status, 2 if isinstance(exc, NoConvergenceError) else 3)
             return status
     except (ConfigParseError, ConfigValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

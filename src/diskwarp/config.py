@@ -41,11 +41,12 @@ class ExperimentConfig:
             )
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        if self.num_steps < 2:
-            raise ConfigValidationError(f"N must be at least 2, got {self.num_steps}")
-        if self.degree_bound < 2:
-            raise ConfigValidationError(f"n must be at least 2, got {self.degree_bound}")
+        for key, value in (("N", self.num_steps), ("n", self.degree_bound)):
+            if not (isinstance(value, (int, np.integer)) and value >= 2):
+                raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
         target = np.atleast_1d(np.asarray(self.target, dtype=complex))
+        if not np.all(np.isfinite(target)):
+            raise ConfigValidationError(f"target must be finite, got {target.tolist()}")
         if len(target) > self.degree_bound:
             raise ConfigValidationError(
                 f"target has {len(target)} coefficients, exceeding degree bound "
@@ -96,10 +97,10 @@ def load_config(path) -> ExperimentConfig:
     target = []
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list)) or len(pair) != 2 or not all(
-            isinstance(v, (int, float)) and np.isfinite(v) for v in pair
+            isinstance(v, (int, float)) for v in pair
         ):
             raise ConfigValidationError(
-                f"{path}: target[{i}] must be a [re, im] pair of finite numbers, got {pair!r}"
+                f"{path}: target[{i}] must be a [re, im] pair of numbers, got {pair!r}"
             )
         target.append(complex(pair[0], pair[1]))
 

@@ -42,10 +42,8 @@ def disk_mesh(circles: int, rays: int, samples: int = 128):
 def warp_frames(path: DiscretePath, circles: int, rays: int, samples: int = 128):
     """One frame per step: each mesh line mapped through the step polynomial."""
     mesh = disk_mesh(circles, rays, samples)
-    frames = []
-    for coeffs in path.steps:
-        frames.append([(line_id, evaluate(coeffs, pts)) for line_id, pts in mesh])
-    return frames
+    images = evaluate(path.steps, [pts for _, pts in mesh])
+    return [[(line_id, pts) for (line_id, _), pts in zip(mesh, step)] for step in images]
 
 
 def write_frames_csv(frames, out_path):

@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
-_BRANCH_GRID = 1024
-_BRANCH_TOL = 1e-6
 _BISECTION_TOL = 1e-15
 _NEWTON_STEPS = 50
 
@@ -184,11 +182,11 @@ def _minimizer(c0: complex, c1: complex, alpha: float):
 def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     """Coefficient path ``c(t)`` of the geodesic from c0 to c1 at times ts.
 
-    At ``alpha = 0`` the root ``c = sqrt(q)`` of the affine path of
-    ``q = c**2`` is continued from ``c0`` along a fine grid, always picking
-    the root closer to the previous value; no continuous branch reaches
-    ``c1`` once the rotation passes a quarter turn, where the minimizer runs
-    through ``c = 0``.  At ``alpha > 0`` the path is the unique geodesic,
+    At ``alpha = 0`` the path keeps ``c**2`` affine in time:
+    ``c = c0 sqrt(1 + t ((c1/c0)**2 - 1))`` with the principal root, which
+    is continuous along the segment and ends at ``c1`` exactly when
+    ``Re(c1/c0) > 0``; from a quarter turn on, the minimizer runs through
+    ``c = 0``.  At ``alpha > 0`` the path is the unique geodesic,
     evaluated from its invariants (see the module docstring): the time
     quadrature is inverted by Newton's method at every query time.  Raises
     BranchFailureError when the minimizer would reach ``c = 0``.
@@ -197,10 +195,15 @@ def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0) or np.any(ts > 1):
         raise ValueError("query times must lie in [0, 1]")
-    if alpha == 0.0:
-        return _affine_square(c0, c1, alpha, ts)
-
     c0, c1 = complex(c0), complex(c1)
+    if alpha == 0.0:
+        if c0 == 0 or (c1 / c0).real <= 0:
+            raise BranchFailureError(
+                f"the geodesic from {c0} to {c1} at alpha = 0 reaches c = 0: the endpoints "
+                f"must be nonzero and less than a quarter turn apart"
+            )
+        return c0 * np.sqrt(1.0 + ts * ((c1 / c0) ** 2 - 1.0))
+
     u_star, w0, w1, turn = _minimizer(c0, c1, alpha)
     h0 = _clock(w0, u_star, alpha)
     goal = h0 + ts * (_clock(w1, u_star, alpha) - h0)
@@ -215,29 +218,6 @@ def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     path[ts == 0.0] = c0
     path[ts == 1.0] = c1
     return path
-
-
-def _affine_square(c0, c1, alpha, ts) -> np.ndarray:
-    """Path with ``c**2 + alpha c`` affine in time, by root continuation."""
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _BRANCH_GRID), ts]))
-    q0 = c0 * c0 + alpha * c0
-    q1 = c1 * c1 + alpha * c1
-    q = (1.0 - grid) * q0 + grid * q1
-
-    values = np.empty(len(grid), dtype=complex)
-    prev = complex(c0)
-    for i, qi in enumerate(q):
-        root = np.sqrt(complex(alpha * alpha + 4.0 * qi))
-        plus = (-alpha + root) / 2.0
-        minus = (-alpha - root) / 2.0
-        prev = plus if abs(plus - prev) <= abs(minus - prev) else minus
-        values[i] = prev
-    if abs(values[-1] - c1) > _BRANCH_TOL:
-        raise BranchFailureError(
-            f"continuous branch from {c0} ends at {values[-1]}, not {c1}"
-        )
-    idx = np.searchsorted(grid, ts)
-    return values[idx]
 
 
 def _initial_velocity(c0: complex, c1: complex, alpha: float) -> complex:

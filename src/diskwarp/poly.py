@@ -64,10 +64,11 @@ def monomial_weights(m: int) -> np.ndarray:
 
 
 def derivative(p) -> np.ndarray:
-    """Coefficient array of ``p'``, same degree bound (last coefficient zero)."""
+    """Coefficients of ``p'`` for each coefficient row along the last axis of
+    ``p``, same degree bound (last coefficient zero)."""
     c = np.asarray(p, dtype=complex)
     out = np.zeros_like(c)
-    out[:-1] = c[1:] * np.arange(1, len(c))
+    out[..., :-1] = c[..., 1:] * np.arange(1, c.shape[-1])
     return out
 
 
@@ -134,10 +135,17 @@ def adjoint_dz(xi) -> np.ndarray:
 
 
 def evaluate(p, z):
-    """Evaluate the polynomial at complex point(s) ``z`` (Horner)."""
+    """Values at the complex point(s) ``z`` of each coefficient row along the
+    last axis of ``p`` (Horner), shaped ``p.shape[:-1] + z.shape``."""
     c = np.asarray(p, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    out = np.full_like(z, c[-1]) if len(c) else np.zeros_like(z)
+    rows = c.shape[:-1]
+    # coefficient k of every row, shaped to broadcast against the output
+    c = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + rows + (1,) * z.ndim)
+    out = np.zeros(rows + z.shape, dtype=complex)
+    if len(c):
+        out[...] = c[-1]
     for k in range(len(c) - 2, -1, -1):
-        out = out * z + c[k]
+        out *= z
+        out += c[k]
     return out

@@ -43,19 +43,13 @@ _ROUNDOFF_ULPS = 10
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Problem sizes and termination knobs for one geodesic solve.
-
-    ``conformality_samples`` is the (angular, radial) grid used to certify
-    nonvanishing derivatives; the radial rings are ``j/R`` for ``j = 1..R``
-    so the boundary circle is always included.
-    """
+    """Problem sizes and termination knobs for one geodesic solve."""
 
     n: int
     num_steps: int
     alpha: float
     grad_tol: float = 1e-8
     max_iters: int = 5000
-    conformality_samples: tuple[int, int] = (64, 8)
 
     def __post_init__(self):
         if self.n < 2:
@@ -67,9 +61,6 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        angles, radii = self.conformality_samples
-        if angles < 1 or radii < 1:
-            raise ValueError(f"sample counts must be positive, got {self.conformality_samples}")
 
 
 @dataclass(frozen=True)
@@ -129,10 +120,7 @@ def certify_conformal(path: DiscretePath, angles: int = 64, radii: int = 8) -> n
     theta = 2.0 * np.pi * np.arange(angles) / angles
     rings = np.arange(1, radii + 1) / radii
     grid = np.concatenate([[0.0 + 0.0j], (rings[:, None] * np.exp(1j * theta)[None, :]).ravel()])
-    minima = np.empty(path.steps.shape[0])
-    for k, coeffs in enumerate(path.steps):
-        minima[k] = np.min(np.abs(evaluate(derivative(coeffs), grid)))
-    return minima
+    return np.min(np.abs(evaluate(derivative(path.steps), grid)), axis=-1)
 
 
 def solve(config: SolverConfig, target) -> GeodesicResult:
@@ -144,34 +132,29 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     offending result on their ``result`` attribute.
     """
     tgt = project_by_truncation(as_coeffs(target), config.n)
-    path0 = initial_guess(tgt, config.num_steps)
-    N, n = config.num_steps, config.n
-    endpoints = (path0.steps[0].copy(), path0.steps[-1].copy())
-
-    def to_path(x: np.ndarray) -> DiscretePath:
-        interior = x[: (N - 1) * n] + 1j * x[(N - 1) * n :]
-        steps = np.vstack([endpoints[0], interior.reshape(N - 1, n), endpoints[1]])
-        return DiscretePath(steps)
+    path = initial_guess(tgt, config.num_steps)
+    # the optimizer's variables are the interior rows, real and imaginary
+    # parts interleaved: x.view(complex) is their row-major order
+    interior = path.steps[1:-1]
 
     def fun_grad(x: np.ndarray):
-        f, g = action_and_gradient(to_path(x), config.alpha)
-        return f, np.concatenate([g.real.ravel(), g.imag.ravel()])
+        interior[...] = x.view(complex).reshape(interior.shape)
+        f, g = action_and_gradient(path, config.alpha)
+        return f, g.ravel().view(float)
 
-    interior0 = path0.steps[1:-1].ravel()
-    x0 = np.concatenate([interior0.real, interior0.imag])
     x, f, gnorm, iters, history, converged = _lbfgs(
         fun_grad,
-        x0,
+        interior.ravel().view(float),
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
-        inv_diag=_inverse_curvature_diag(n, N, config.alpha),
+        inv_diag=_inverse_curvature_diag(config.n, config.num_steps, config.alpha),
     )
+    # the last evaluation may have been a rejected trial step
+    interior[...] = x.view(complex).reshape(interior.shape)
 
-    final = to_path(x)
-    angles, radii = config.conformality_samples
-    certificate = certify_conformal(final, angles, radii)
+    certificate = certify_conformal(path)
     result = GeodesicResult(
-        path=final,
+        path=path,
         action=f,
         grad_norm=gnorm,
         iterations=iters,
@@ -207,9 +190,8 @@ def _inverse_curvature_diag(n: int, num_steps: int, alpha: float) -> np.ndarray:
     """
     j = np.arange(n)
     diag = (2.0 * np.pi * num_steps) * (1.0 / (j + 1.0) + alpha * j)
-    per_step = 1.0 / diag
-    interior = np.tile(per_step, num_steps - 1)
-    return np.concatenate([interior, interior])  # real parts, then imaginary
+    # one entry per real coordinate, in the solver's interleaved order
+    return np.tile(np.repeat(1.0 / diag, 2), num_steps - 1)
 
 
 def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_diag, memory=12,

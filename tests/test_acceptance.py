@@ -95,7 +95,8 @@ def test_criterion_2_fft_equivalence_and_speedup():
 
 def test_criterion_3_gradient_check():
     t0 = time.perf_counter()
-    worst = checks.gradient(np.random.default_rng(3), 20, (6, 8), 0.4)
+    # at a step of 1e-6 round-off in the action dominates the difference quotient
+    worst = checks.gradient(np.random.default_rng(3), 20, (6, 8), 0.4, eps=1e-5)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
     assert criterion(3, ok, f"every component of 20 random paths, worst rel {worst:.2e}, {elapsed:.1f} s")

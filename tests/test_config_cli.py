@@ -8,7 +8,8 @@ import pytest
 from diskwarp import checks
 from diskwarp.cli import main, run_experiment, run_oracle
 from diskwarp.config import ExperimentConfig, load_config
-from diskwarp.errors import ConfigParseError, ConfigValidationError
+from diskwarp.errors import (ConfigParseError, ConfigValidationError, NoConvergenceError,
+                             NotConformalError)
 
 
 def write_config(tmp_path, file_name=None, **overrides):
@@ -240,6 +241,23 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep-out" / "alpha-1" / "report.txt").exists()
 
 
+def test_cli_sweep_exits_with_the_worst_status(tmp_path, capsys, monkeypatch):
+    import diskwarp.cli as cli_module
+
+    # lost conformality (3) followed by no convergence (2) still exits 3
+    failures = iter([NotConformalError("lost"), NoConvergenceError("budget")])
+
+    def failing_solve(config, target):
+        raise next(failures)
+
+    monkeypatch.setattr(cli_module, "solve", failing_solve)
+    config_path = write_config(tmp_path, name="sweepfail")
+    code = main(["sweep", "--alpha", "0.1,1", str(config_path),
+                 "--output", str(tmp_path / "sweep-out")])
+    assert code == 3
+    assert capsys.readouterr().out.count("FAILED") == 2
+
+
 @pytest.mark.parametrize(
     "alphas", ["0.1,abc", "0.1,nan", "0.1,inf", "0.1,-1", ",", "0.1,0.1000001", "1,1.0"],
     ids=["non-numeric", "nan", "inf", "negative", "empty", "same-6-digits", "same-value"],
@@ -258,6 +276,12 @@ def test_experiment_config_direct_validation():
             name="x", alpha=0.1, num_steps=1, degree_bound=4,
             target=np.array([0, 1], dtype=complex),
         )
+    for target in ([0, float("nan")], [float("inf"), 1]):
+        with pytest.raises(ConfigValidationError, match="target"):
+            ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=target)
+    for sizes in ({"num_steps": 2.5, "degree_bound": 4}, {"num_steps": 4, "degree_bound": 4.0}):
+        with pytest.raises(ConfigValidationError, match="integer >= 2"):
+            ExperimentConfig(name="x", alpha=0.1, target=[0, 1], **sizes)
     for alpha in (float("nan"), float("inf")):
         with pytest.raises(ConfigValidationError, match="alpha"):
             ExperimentConfig(

@@ -167,10 +167,14 @@ def test_match_velocity_hits_endpoint():
 
 
 def test_branch_failure_for_large_rotation():
-    # the affine square path cannot reach rotations much past a quarter turn:
-    # the continuous root lands on the other branch
-    with pytest.raises(BranchFailureError):
-        closed_form(1.0, np.exp(0.95j * PI), 0.0, np.linspace(0, 1, 5))
+    # at alpha = 0 the minimizer for a rotation of a quarter turn or more runs
+    # through c = 0; just short of a quarter turn the path still ends at c1
+    ts = np.linspace(0, 1, 5)
+    near = np.exp(0.499j * PI)
+    assert abs(closed_form(1.0, near, 0.0, ts)[-1] - near) <= 1e-15
+    for turn in (0.501, 0.95):
+        with pytest.raises(BranchFailureError):
+            closed_form(1.0, np.exp(1j * PI * turn), 0.0, ts)
 
 
 def test_closed_form_rejects_bad_times():

@@ -201,8 +201,6 @@ def test_solver_config_validation():
         SolverConfig(n=16, num_steps=20, alpha=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(n=16, num_steps=20, alpha=0.1, grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(n=16, num_steps=20, alpha=0.1, conformality_samples=(0, 8))
 
 
 @pytest.mark.parametrize("config_path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
