@@ -42,7 +42,7 @@ class ExperimentConfig:
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
         for key, value in (("N", self.num_steps), ("n", self.degree_bound)):
-            if not (isinstance(value, (int, np.integer)) and value >= 2):
+            if not (_is_integer(value) and value >= 2):
                 raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
         target = np.atleast_1d(np.asarray(self.target, dtype=complex))
         if not np.all(np.isfinite(target)):
@@ -58,11 +58,20 @@ class ExperimentConfig:
                 f"format must be 'csv' or 'svg', got {self.frame_format!r}"
             )
         counts = (self.mesh_circles, self.mesh_rays)
-        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in counts):
+        if not all(_is_integer(v) and v >= 1 for v in counts):
             raise ConfigValidationError(
                 f"mesh counts must be positive integers, got circles={self.mesh_circles} "
                 f"rays={self.mesh_rays}"
             )
+
+
+def _is_integer(value) -> bool:
+    # bool subclasses int, but a JSON true is not a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -81,9 +90,9 @@ def load_config(path) -> ExperimentConfig:
         if key not in raw:
             raise ConfigValidationError(f"{path}: missing field {key!r}")
         value = raw[key]
-        if kind is float and isinstance(value, int):
+        if kind is float and _is_number(value):
             value = float(value)
-        if not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigValidationError(
                 f"{path}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
             )
@@ -96,9 +105,7 @@ def load_config(path) -> ExperimentConfig:
     pairs = need("target", list)
     target = []
     for i, pair in enumerate(pairs):
-        if (not isinstance(pair, list)) or len(pair) != 2 or not all(
-            isinstance(v, (int, float)) for v in pair
-        ):
+        if (not isinstance(pair, list)) or len(pair) != 2 or not all(map(_is_number, pair)):
             raise ConfigValidationError(
                 f"{path}: target[{i}] must be a [re, im] pair of numbers, got {pair!r}"
             )

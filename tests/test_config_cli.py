@@ -158,6 +158,14 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     assert list(work.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "unsafe.json", "work"]
 
+    # JSON booleans are not numbers, although bool subclasses int
+    for overrides in ({"alpha": True}, {"mesh": {"circles": True, "rays": True}},
+                      {"target": [[0.0, 0.0], [True, False]]}, {"N": True}):
+        flagged = write_config(tmp_path, file_name="bool.json", name="bool", **overrides)
+        assert main(["solve", str(flagged)]) == 1
+        assert "config error" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "overrides",
@@ -282,6 +290,10 @@ def test_experiment_config_direct_validation():
     for sizes in ({"num_steps": 2.5, "degree_bound": 4}, {"num_steps": 4, "degree_bound": 4.0}):
         with pytest.raises(ConfigValidationError, match="integer >= 2"):
             ExperimentConfig(name="x", alpha=0.1, target=[0, 1], **sizes)
+    for mesh in ({"mesh_circles": True}, {"mesh_rays": True}):
+        with pytest.raises(ConfigValidationError, match="mesh counts"):
+            ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=[0, 1],
+                             **mesh)
     for alpha in (float("nan"), float("inf")):
         with pytest.raises(ConfigValidationError, match="alpha"):
             ExperimentConfig(

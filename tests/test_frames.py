@@ -70,11 +70,18 @@ def test_csv_schema_and_roundtrip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3 * 5 * 16  # steps x lines x samples
-    step, line_id, index, x, y = lines[1].split(",")
-    assert (step, line_id, index) == ("0", "circle-01", "0")
-    # shortest-repr round trip gives back the exact evaluated coordinate
-    assert float(x) == frames[0][0][1][0].real
-    assert float(y) == frames[0][0][1][0].imag
+    expected = [
+        (step, line_id, i, z)
+        for step, frame in enumerate(frames)
+        for line_id, pts in frame
+        for i, z in enumerate(pts)
+    ]
+    assert expected[0][:3] == (0, "circle-01", 0)
+    for row, (step, line_id, i, z) in zip(lines[1:], expected, strict=True):
+        fields = row.split(",")
+        assert fields[:3] == [str(step), line_id, str(i)]
+        # shortest-repr round trip gives back the exact evaluated coordinate
+        assert (float(fields[3]), float(fields[4])) == (z.real, z.imag)
 
 
 def test_svg_files_one_per_step(tmp_path):
@@ -98,3 +105,83 @@ def test_svg_deterministic(tmp_path):
     write_frames_svg(frames, b)
     for name in ("frame_000.svg", "frame_001.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _reference_csv(frames, out_path):
+    """The per-point CSV writer the array writer must match byte for byte."""
+    rows = [CSV_HEADER]
+    for step, frame in enumerate(frames):
+        for line_id, pts in frame:
+            for i, z in enumerate(pts):
+                rows.append(f"{step},{line_id},{i},{float(z.real)!r},{float(z.imag)!r}")
+    with open(out_path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+def _reference_svg(frames, out_dir, size=512):
+    """The per-point SVG writer the array writer must match byte for byte."""
+    extent = 1.0
+    for frame in frames:
+        for _, pts in frame:
+            extent = max(extent, float(np.max(np.abs(pts.real))), float(np.max(np.abs(pts.imag))))
+    half = 1.05 * extent
+    names = []
+    for step, frame in enumerate(frames):
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="{-half:.6f} {-half:.6f} {2 * half:.6f} {2 * half:.6f}">'
+        ]
+        for _, pts in frame:
+            coords = " ".join(f"{z.real:.6f},{-z.imag:.6f}" for z in pts)
+            parts.append(
+                f'<polyline fill="none" stroke="black" stroke-width="{half / 256:.6f}" '
+                f'points="{coords}"/>'
+            )
+        parts.append("</svg>")
+        name = f"frame_{step:03d}.svg"
+        with open(f"{out_dir}/{name}", "w") as fh:
+            fh.write("\n".join(parts) + "\n")
+        names.append(name)
+    return names
+
+
+def _awkward_frames():
+    """Signed zeros, exponent reprs, a point far outside the unit disk, lines
+    of unequal length, a line id with a percent sign and an empty frame."""
+    return [
+        [
+            ("zeros", np.array([complex(0.0, 0.0), complex(-0.0, 0.0),
+                                complex(0.0, -0.0), complex(-0.0, -0.0)])),
+            ("tiny-%d", np.array([1e-05 - 1e-05j, -2.5e-07 + 3e-300j, 5e-324j])),
+            ("one", np.array([0.1 + 0.2j])),
+        ],
+        [
+            ("far", np.array([1e16 - 2e16j, -3.75 + 2.5j, 0.5 - 0.0j])),
+            ("zeros", np.array([complex(-0.0, -0.0), 1 / 3 + 2j / 3])),
+        ],
+        [],
+        [
+            ("zeros", np.array([complex(0.0, 0.0), complex(-0.0, 0.0),
+                                complex(0.0, -0.0), complex(-0.0, -0.0)])),
+            ("tiny-%d", np.array([-1e-05 + 1e-05j, 2.5e-07 - 3e-300j, -5e-324j])),
+            ("one", np.array([-0.1 - 0.2j])),
+        ],
+    ]
+
+
+@pytest.mark.parametrize("frames", [
+    _awkward_frames(),
+    warp_frames(linear_path([1.0, -0.5j, 1.5 + 1e-9j]), circles=2, rays=3, samples=16),
+    warp_frames(linear_path([0.5, 0.25j]), circles=2, rays=2, samples=8),  # extent stays 1
+], ids=["awkward", "warped", "inside"])
+def test_writers_match_per_point_reference(tmp_path, frames):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir(), ref.mkdir()
+    write_frames_csv(frames, new / "frames.csv")
+    _reference_csv(frames, ref / "frames.csv")
+    assert (new / "frames.csv").read_bytes() == (ref / "frames.csv").read_bytes()
+
+    names = write_frames_svg(frames, new)
+    assert names == _reference_svg(frames, ref)
+    for name in names:
+        assert (new / name).read_bytes() == (ref / name).read_bytes()
