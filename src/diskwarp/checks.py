@@ -1,7 +1,8 @@
 """The numerical identities the package rests on, one function each.
 
 Every check draws its samples from ``rng``, runs ``count`` trials and returns
-the worst error it saw (NaN if any trial gave NaN).  ``diskwarp check`` runs
+the worst error it saw (NaN if any trial gave NaN); :func:`svg_format`
+returns the number of values it got wrong.  ``diskwarp check`` runs
 them through :data:`BATTERY`; the test suite calls the same functions with
 its own seeds, counts and tolerances.
 """
@@ -11,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
+from .frames import points_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity,
                                integrate_reduced, match_velocity)
 from .poly import adjoint_dz, derivative, inner_l2, mul_fft, mul_naive
 
 __all__ = ["BATTERY", "adjoint", "fft_product", "action_modes", "gradient", "conservation",
-           "shooting"]
+           "shooting", "svg_format"]
 
 
 def _poly_pair(rng, max_len):
@@ -118,6 +120,52 @@ def shooting(rng, count, alphas=(0.0, 0.1, 1.0, 10.0)):
     return worst
 
 
+def svg_format(rng, count):
+    """Number of values whose ``"%.6f"`` text :func:`points_text` gets wrong.
+
+    The values are ``count`` of each kind: magnitudes from 1e-8 to 1e3 of
+    both signs, multiples of 1/128 (exact rounding ties when odd), the
+    floats nearest seven-decimal ties such as 0.0185475, and the extremes
+    +-0, +-999.9999995, 1e16, NaN and +-inf.  Each value is formatted alone,
+    as the point ``x - ix`` whose text is ``"%.6f,%.6f" % (x, x)``.  A value
+    the kernel declines counts as correct only if exact arithmetic puts it
+    out of range, non-finite or within round-off of a tie.  The accepted
+    values are then formatted together, in lines of random lengths (empty
+    ones included), and every value of a line whose text differs counts.
+    """
+    signs = rng.choice([-1.0, 1.0], (3, count))
+    values = np.concatenate([
+        signs[0] * 10.0 ** rng.uniform(-8, 3, count),
+        signs[1] * rng.integers(0, 128_000, count) / 128,
+        signs[2] * [float(f"{10 * k + 5}e-7") for k in rng.integers(0, 10**8, count)],
+        [0.0, -0.0, 999.9999995, -999.9999995, 1e16, np.nan, np.inf, -np.inf],
+    ])
+    wrong, accepted = 0, []
+    for x in values:
+        text = points_text([np.array([complex(x, -x)])])
+        if text is None:
+            wrong += not _must_decline(x)
+        else:
+            wrong += text != ["%.6f,%.6f" % (x, x)]
+            accepted.append(x)
+    points = np.stack([accepted, np.negative(accepted)], 1).ravel().view(complex)  # x - ix
+    lines = np.split(points, np.sort(rng.integers(0, len(points) + 1, len(points) // 4)))
+    for pts, text in zip(lines, points_text(lines) or [None] * len(lines)):
+        wrong += len(pts) * (text != " ".join("%.6f,%.6f" % (x, x) for x in pts.real))
+    return wrong
+
+
+def _must_decline(x):
+    """Whether :func:`points_text` may decline ``x``: not finite, ``|x| * 10**6``
+    of 999_999_998 or more, or within its half-ulp of a half-integer, decided
+    in exact arithmetic."""
+    if not np.isfinite(x):
+        return True
+    num, den = abs(float(x)).as_integer_ratio()
+    scaled = num * 10**6  # |x| * 10**6 == scaled / den
+    return scaled >= 999_999_998 * den or abs(2 * (scaled % den) - den) * 2**51 <= scaled
+
+
 # (name, check, arguments after ``rng``, tolerance on the worst error)
 BATTERY = [
     ("adjoint identity <xi, eta'> = <adj xi, eta>", adjoint, (50,), 1e-12),
@@ -129,4 +177,5 @@ BATTERY = [
      gradient, (1, (21, 16), 0.7, 1e-4), 1e-6),
     ("reduced dynamics conserve energy and Clairaut momentum", conservation, (5,), 1e-10),
     ("closed form agrees with integrated dynamics", shooting, (3,), 1e-7),
+    ("fixed-point SVG coordinates match %.6f", svg_format, (200,), 0),
 ]

@@ -3,8 +3,10 @@
 Configs are JSON documents with the fields ``name``, ``alpha``, ``N``, ``n``,
 ``target`` (an array of ``[re, im]`` coefficient pairs), ``mesh``
 (``{"circles": R, "rays": A}``), ``format`` (``"csv"`` or ``"svg"``), and an
-optional ``output`` directory.  Parsing and invariant failures raise
-distinct exception types carrying the offending location or field.
+optional ``output`` directory; any other field, at the top level or in
+``mesh``, is rejected, so a misspelt one cannot silently take its default.
+Parsing and invariant failures raise distinct exception types carrying the
+offending location or field.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 from .errors import ConfigParseError, ConfigValidationError
 
 __all__ = ["ExperimentConfig", "load_config"]
+
+_FIELDS = ("name", "alpha", "N", "n", "target", "mesh", "format", "output")
+_MESH_FIELDS = ("circles", "rays")
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,10 @@ class ExperimentConfig:
                 f"mesh counts must be positive integers, got circles={self.mesh_circles} "
                 f"rays={self.mesh_rays}"
             )
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ConfigValidationError(
+                f"output must be a directory path string, got {self.output!r}"
+            )
 
 
 def _is_integer(value) -> bool:
@@ -85,6 +94,7 @@ def load_config(path) -> ExperimentConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top level must be an object")
+    _reject_unknown(path, raw, _FIELDS, "field")
 
     def need(key, kind):
         if key not in raw:
@@ -114,6 +124,7 @@ def load_config(path) -> ExperimentConfig:
     mesh = raw.get("mesh", {})
     if not isinstance(mesh, dict):
         raise ConfigValidationError(f"{path}: field 'mesh' must be an object")
+    _reject_unknown(path, mesh, _MESH_FIELDS, "mesh field")
     return ExperimentConfig(
         name=name,
         alpha=alpha,
@@ -125,3 +136,11 @@ def load_config(path) -> ExperimentConfig:
         frame_format=raw.get("format", "svg"),
         output=raw.get("output"),
     )
+
+
+def _reject_unknown(path, raw, known, what):
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ConfigValidationError(
+            f"{path}: unknown {what} {unknown[0]!r}; expected one of {', '.join(known)}"
+        )

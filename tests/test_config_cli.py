@@ -53,6 +53,12 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, format="png"))
     with pytest.raises(ConfigValidationError, match="target\\[1\\]"):
         load_config(write_config(tmp_path, target=[[0, 0], [1]]))
+    with pytest.raises(ConfigValidationError, match="unknown field 'fromat'"):
+        load_config(write_config(tmp_path, fromat="csv"))
+    with pytest.raises(ConfigValidationError, match="unknown mesh field 'circle'"):
+        load_config(write_config(tmp_path, mesh={"circle": 3}))
+    with pytest.raises(ConfigValidationError, match="output"):
+        load_config(write_config(tmp_path, output=["out"]))
     with pytest.raises(ConfigValidationError, match="missing"):
         path = tmp_path / "missing.json"
         path.write_text('{"name": "x"}')
@@ -164,6 +170,17 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         flagged = write_config(tmp_path, file_name="bool.json", name="bool", **overrides)
         assert main(["solve", str(flagged)]) == 1
         assert "config error" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+    # a non-string output and unknown fields fail before the solve or closed form
+    for overrides, message in (({"output": True}, "output must"), ({"output": 5}, "output must"),
+                               ({"fromat": "svg"}, "unknown field 'fromat'"),
+                               ({"mesh": {"circle": 3, "rays": 4}}, "unknown mesh field 'circle'")):
+        odd = write_config(tmp_path, file_name="odd.json", name="odd", **overrides)
+        for verb in ("solve", "oracle"):
+            assert main([verb, str(odd)]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and message in err
     assert list(work.iterdir()) == []
 
 

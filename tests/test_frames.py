@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from diskwarp import checks
 from diskwarp.action import DiscretePath
-from diskwarp.frames import CSV_HEADER, disk_mesh, warp_frames, write_frames_csv, write_frames_svg
+from diskwarp.frames import (CSV_HEADER, disk_mesh, points_text, warp_frames, write_frames_csv,
+                             write_frames_svg)
 
 
 def linear_path(scales, n=4):
@@ -123,7 +125,9 @@ def _reference_svg(frames, out_dir, size=512):
     extent = 1.0
     for frame in frames:
         for _, pts in frame:
-            extent = max(extent, float(np.max(np.abs(pts.real))), float(np.max(np.abs(pts.imag))))
+            if len(pts):
+                extent = max(extent, float(np.max(np.abs(pts.real))),
+                             float(np.max(np.abs(pts.imag))))
     half = 1.05 * extent
     names = []
     for step, frame in enumerate(frames):
@@ -147,7 +151,9 @@ def _reference_svg(frames, out_dir, size=512):
 
 def _awkward_frames():
     """Signed zeros, exponent reprs, a point far outside the unit disk, lines
-    of unequal length, a line id with a percent sign and an empty frame."""
+    of unequal length, a line id with a percent sign, an empty frame, lines
+    without points, a rounding tie among values the fixed-point kernel takes,
+    and integer parts of one to three digits."""
     return [
         [
             ("zeros", np.array([complex(0.0, 0.0), complex(-0.0, 0.0),
@@ -166,7 +172,29 @@ def _awkward_frames():
             ("tiny-%d", np.array([-1e-05 + 1e-05j, 2.5e-07 - 3e-300j, -5e-324j])),
             ("one", np.array([-0.1 - 0.2j])),
         ],
+        [
+            ("none", np.array([], dtype=complex)),
+            ("digits", np.array([999.9999984 - 123.4567894j, -99.0000004 + 10.5j, -0.0185476j])),
+            ("none-2", np.array([], dtype=complex)),
+            ("one", np.array([7.0 + 0.0185474j])),
+            ("none-3", np.array([], dtype=complex)),
+        ],
+        [
+            ("safe", np.array([0.25 + 0.1j, -3.0000004 - 12.75j])),
+            # 7812.5 and 23437.5 millionths: %.6f rounds ties to even
+            ("tie", np.array([0.5 + 0.0078125j, -0.0234375 + 0.5j])),
+        ],
     ]
+
+
+def test_awkward_frames_take_the_kernel_and_the_fallback():
+    declined = [points_text([pts for _, pts in frame]) is None for frame in _awkward_frames()]
+    assert declined == [False, True, False, False, False, True]
+
+
+def test_svg_coordinate_kernel_matches_percent_format():
+    for seed in range(3):
+        assert checks.svg_format(np.random.default_rng(seed), 300) == 0
 
 
 @pytest.mark.parametrize("frames", [
