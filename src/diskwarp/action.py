@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import check_alpha, derivative, inner_l2, mul_naive
+from .poly import check_alpha, derivative, inner_l2, monomial_weights, mul_naive
 
 __all__ = [
     "DiscretePath",
@@ -81,21 +81,15 @@ def lagrangian(phi, phidot, alpha: float) -> float:
 
 
 def discrete_lagrangian(phi_k, phi_k1, h: float, alpha: float) -> float:
-    """Midpoint-rule energy of one interval; symmetric in its two endpoints."""
+    """Midpoint-rule energy of one interval, ``h L(m, (v-u)/h) = L(m, v-u) / h``
+    with ``m = (u+v)/2``; symmetric in its two endpoints."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    alpha = check_alpha(alpha)
     u = np.asarray(phi_k, dtype=complex)
     v = np.asarray(phi_k1, dtype=complex)
     if u.shape != v.shape:
         raise ValueError(f"endpoints must share a degree bound, got {u.shape} and {v.shape}")
-    mid_deriv = derivative((u + v) / 2.0)
-    delta = v - u
-    prod = mul_naive(mid_deriv, delta)
-    ddelta = derivative(delta)
-    return (
-        inner_l2(prod, prod).real + alpha * inner_l2(ddelta, ddelta).real
-    ) / (2.0 * h)
+    return lagrangian((u + v) / 2.0, v - u, alpha) / h
 
 
 @lru_cache(maxsize=256)
@@ -104,8 +98,7 @@ def _shifted_weights(m: int) -> np.ndarray:
     for the kernels' shifted layout, where entry i of a derivative (``i * c_i``)
     or of a product carries ``z**(i-1)``; it keeps every array write contiguous.
     """
-    w = np.zeros(m)
-    w[1:] = np.pi / np.arange(1, m)
+    w = np.concatenate([[0.0], monomial_weights(m - 1)])
     w.flags.writeable = False
     return w
 

@@ -16,9 +16,10 @@ from .frames import points_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity,
                                integrate_reduced, match_velocity)
 from .poly import adjoint_dz, derivative, inner_l2, mul_fft, mul_naive
+from .solver import _inverse_hessian_at_identity, identity_map
 
-__all__ = ["BATTERY", "adjoint", "fft_product", "action_modes", "gradient", "conservation",
-           "shooting", "svg_format"]
+__all__ = ["BATTERY", "adjoint", "fft_product", "action_modes", "gradient", "preconditioner",
+           "conservation", "shooting", "svg_format"]
 
 
 def _poly_pair(rng, max_len):
@@ -88,6 +89,28 @@ def gradient(rng, count, shape, alpha, eps=1e-6):
                 fd = (discrete_action(DiscretePath(sp), alpha)
                       - discrete_action(DiscretePath(sm), alpha)) / (2 * eps)
                 worst = np.maximum(worst, abs(fd - an) / (1 + abs(fd)))
+    return worst
+
+
+def preconditioner(rng, count, eps=1e-3):
+    """Worst sup-norm ``|P(Hv) - v| / |v|`` of the solver's initial inverse
+    Hessian P against the action's Hessian H at the constant identity path,
+    for random (N, n, alpha) and directions v.  Hv is the Richardson value of
+    central gradient differences at steps ``eps`` and ``2 eps``, exact up to
+    round-off since the gradient is cubic."""
+    worst = 0.0
+    for _ in range(count):
+        num_steps, n = rng.integers(2, 25), rng.integers(2, 17)
+        alpha = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
+        steps = np.tile(identity_map(n), (num_steps + 1, 1))
+        v = np.zeros_like(steps)
+        v[1:-1] = _steps(rng, (num_steps - 1, n))
+        grads = [action_and_gradient(DiscretePath(steps + t * v), alpha)[1].ravel()
+                 for t in (eps, -eps, 2 * eps, -2 * eps)]
+        hv = (8 * (grads[0] - grads[1]) - grads[2] + grads[3]) / (12 * eps)
+        p_hv = _inverse_hessian_at_identity(n, num_steps, alpha)(hv.view(float))
+        v = v[1:-1].ravel().view(float)
+        worst = np.maximum(worst, np.max(np.abs(p_hv - v)) / np.max(np.abs(v)))
     return worst
 
 
@@ -175,6 +198,8 @@ BATTERY = [
     # larger actions take a larger difference step
     ("analytic action gradient matches finite differences at (N, n) = (20, 16)",
      gradient, (1, (21, 16), 0.7, 1e-4), 1e-6),
+    ("L-BFGS preconditioner inverts the action's Hessian at the identity path",
+     preconditioner, (10,), 1e-10),
     ("reduced dynamics conserve energy and Clairaut momentum", conservation, (5,), 1e-10),
     ("closed form agrees with integrated dynamics", shooting, (3,), 1e-7),
     ("fixed-point SVG coordinates match %.6f", svg_format, (200,), 0),

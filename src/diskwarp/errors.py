@@ -12,29 +12,22 @@ __all__ = [
 
 
 class DiskwarpError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.  A failed solve carries
+    its offending or partial result on the ``result`` attribute."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class NotConformalError(DiskwarpError):
-    """An accepted step's derivative modulus fell below the conformality
-    threshold on the sample grid: the path left the space of conformal maps.
-
-    Carries the offending result on the ``result`` attribute when available.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """A step's derivative modulus fell below the conformality threshold on
+    the sample grid: the path left the conformal maps, or its target did."""
 
 
 class NoConvergenceError(DiskwarpError):
-    """The minimizer hit its iteration budget with the gradient above
-    tolerance.  Carries the partial result on the ``result`` attribute.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """The minimizer hit its iteration budget, or a line search ran out, with
+    the gradient above tolerance."""
 
 
 class SingularInertiaError(DiskwarpError):

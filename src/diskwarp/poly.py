@@ -43,24 +43,18 @@ def as_coeffs(values, n: int | None = None) -> np.ndarray:
         return c.copy()
     if len(c) > n:
         raise ValueError(f"{len(c)} coefficients exceed degree bound {n}")
-    out = np.zeros(n, dtype=complex)
-    out[: len(c)] = c
-    return out
+    return np.pad(c, (0, n - len(c)))
 
 
 @lru_cache(maxsize=256)
-def _cached_weights(m: int) -> np.ndarray:
-    w = np.pi / (np.arange(m) + 1.0)
-    w.flags.writeable = False
-    return w
-
-
 def monomial_weights(m: int) -> np.ndarray:
     """Disk squared norms of the monomials: ``w[i] = <z**i, z**i> = pi/(i+1)``.
 
     The returned array is cached and read-only.
     """
-    return _cached_weights(int(m))
+    w = np.pi / (np.arange(m) + 1.0)
+    w.flags.writeable = False
+    return w
 
 
 def derivative(p) -> np.ndarray:
@@ -74,9 +68,7 @@ def derivative(p) -> np.ndarray:
 
 def mul_naive(p, q) -> np.ndarray:
     """Exact coefficient convolution; output degree bound ``len(p)+len(q)-1``."""
-    a = np.asarray(p, dtype=complex)
-    b = np.asarray(q, dtype=complex)
-    return np.convolve(a, b)
+    return np.convolve(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
 
 
 def mul_fft(p, q) -> np.ndarray:
@@ -89,9 +81,7 @@ def mul_fft(p, q) -> np.ndarray:
     b = np.asarray(q, dtype=complex)
     m = len(a) + len(b) - 1
     size = 1 << max(m - 1, 0).bit_length()
-    fa = np.fft.fft(a, size)
-    fb = np.fft.fft(b, size)
-    return np.fft.ifft(fa * fb)[:m]
+    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:m]
 
 
 def inner_l2(p, q) -> complex:
@@ -103,8 +93,6 @@ def inner_l2(p, q) -> complex:
     a = np.asarray(p, dtype=complex)
     b = np.asarray(q, dtype=complex)
     m = min(len(a), len(b))
-    if m == 0:
-        return 0j
     return complex(np.sum(a[:m] * np.conj(b[:m]) * monomial_weights(m)))
 
 

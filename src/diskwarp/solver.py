@@ -3,16 +3,19 @@
 Given a target map, the solver truncates it to the working degree bound,
 interpolates linearly from the identity to build an initial path, and runs
 limited-memory BFGS over the interior coefficients until the gradient sup-norm
-reaches ``grad_tol``.  Its line search falls back on the directional
-derivative once f stops resolving the decrease.  Each evaluation is one call
-of the batched kernel :func:`~diskwarp.action.action_and_gradient` for action
-and gradient together.  Endpoints are never touched.  Optimization happens in
+reaches ``grad_tol``, preconditioned by the exact inverse Hessian of the
+action at the constant identity path.  Its line search falls back on the
+directional derivative once f stops resolving the decrease.  Each evaluation
+is one call of the batched kernel :func:`~diskwarp.action.action_and_gradient`
+for action and gradient together.  Endpoints are never touched, so a target
+that fails certification fails before any iteration.  Optimization happens in
 the ambient coefficient space; membership in the conformal maps is certified
 afterwards by sampling the derivative modulus on a polar grid.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +95,7 @@ def identity_map(n: int) -> np.ndarray:
 
 def project_by_truncation(target, n: int) -> np.ndarray:
     """Drop coefficients at index n and beyond; keep the rest unchanged."""
-    c = np.atleast_1d(np.asarray(target, dtype=complex))
-    out = np.zeros(n, dtype=complex)
-    m = min(len(c), n)
-    out[:m] = c[:m]
-    return out
+    return as_coeffs(np.atleast_1d(target)[:n], n)
 
 
 def initial_guess(target, num_steps: int) -> DiscretePath:
@@ -128,8 +127,9 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
 
     Raises NoConvergenceError when the iteration budget or a line search runs
     out before the gradient reaches ``grad_tol``, and NotConformalError when
-    any step of the accepted path fails certification; both carry the
-    offending result on their ``result`` attribute.
+    any step of the accepted path fails certification, before any iteration
+    if an endpoint does; both carry the offending result on their ``result``
+    attribute.
     """
     tgt = project_by_truncation(as_coeffs(target), config.n)
     path = initial_guess(tgt, config.num_steps)
@@ -142,66 +142,75 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         f, g = action_and_gradient(path, config.alpha)
         return f, g.ravel().view(float)
 
+    if np.any(certify_conformal(DiscretePath(path.steps[[0, -1]])) <= CONFORMAL_MIN_DERIV):
+        f, g = fun_grad(interior.ravel().view(float))
+        _certified(_result(path, f, float(np.max(np.abs(g))), 0, False, [f]))
+
     x, f, gnorm, iters, history, converged = _lbfgs(
         fun_grad,
         interior.ravel().view(float),
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
-        inv_diag=_inverse_curvature_diag(config.n, config.num_steps, config.alpha),
+        inv_hess=_inverse_hessian_at_identity(config.n, config.num_steps, config.alpha),
     )
     # the last evaluation may have been a rejected trial step
     interior[...] = x.view(complex).reshape(interior.shape)
 
-    certificate = certify_conformal(path)
-    result = GeodesicResult(
-        path=path,
-        action=f,
-        grad_norm=gnorm,
-        iterations=iters,
-        converged=converged,
-        conformal_certificate=certificate,
-        action_history=np.asarray(history),
-    )
+    result = _result(path, f, gnorm, iters, converged, history)
     if not converged:
         raise NoConvergenceError(
             f"gradient sup-norm {gnorm:.3e} above {config.grad_tol:.1e} "
             f"after {iters} iterations",
             result=result,
         )
+    return _certified(result)
+
+
+def _result(path, f, gnorm, iters, converged, history) -> GeodesicResult:
+    return GeodesicResult(path=path, action=f, grad_norm=gnorm, iterations=iters,
+                          converged=converged, conformal_certificate=certify_conformal(path),
+                          action_history=np.asarray(history))
+
+
+def _certified(result: GeodesicResult) -> GeodesicResult:
+    certificate = result.conformal_certificate
     bad = np.nonzero(certificate <= CONFORMAL_MIN_DERIV)[0]
     if len(bad):
         raise NotConformalError(
             f"step(s) {bad.tolist()} have min |phi'| <= {CONFORMAL_MIN_DERIV:.0e} "
-            f"(worst {certificate[bad].min():.3e}): path left the conformal maps",
+            f"(worst {certificate[bad].min():.3e}): the path is not in the conformal maps",
             result=result,
         )
     return result
 
 
-def _inverse_curvature_diag(n: int, num_steps: int, alpha: float) -> np.ndarray:
-    """Inverse of the per-coefficient curvature scale of the action.
+def _inverse_hessian_at_identity(n: int, num_steps: int, alpha: float):
+    """The inverse of the action's Hessian at the constant identity path,
+    applied to a gradient in the solver's interleaved coordinates.
 
-    Near the identity path the second derivative of the action with respect
-    to coefficient j of an interior step is about ``(2 pi / h)(1/(j+1) +
-    alpha j)``; the spread between small and large j (a factor of roughly
-    ``alpha n**2``) is what slows an unpreconditioned quasi-Newton method at
-    large alpha.  Used as the initial inverse Hessian of the two-loop
-    recursion.
+    There ``m' = 1`` and every increment is zero, so the Hessian is exactly
+    ``pi N T (x) diag(1/(j+1) + alpha j)`` per real coordinate, with the time
+    Laplacian ``T = tridiag(-1, 2, -1)`` of order N-1, whose inverse is
+    ``T**-1[i, k] = min(i, k)(N - max(i, k)) / N``.
     """
+    i = np.arange(1, num_steps)
+    t_inv = np.minimum.outer(i, i) * (num_steps - np.maximum.outer(i, i)) / num_steps
     j = np.arange(n)
-    diag = (2.0 * np.pi * num_steps) * (1.0 / (j + 1.0) + alpha * j)
-    # one entry per real coordinate, in the solver's interleaved order
-    return np.tile(np.repeat(1.0 / diag, 2), num_steps - 1)
+    # one weight per real coordinate, real and imaginary parts interleaved
+    weights = np.repeat(np.pi * num_steps * (1.0 / (j + 1.0) + alpha * j), 2)
+    return lambda g: (t_inv @ g.reshape(num_steps - 1, 2 * n) / weights).ravel()
 
 
-def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_diag, memory=12,
+def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
            armijo=1e-4, backtrack=0.5):
     """Limited-memory BFGS with a backtracking line search.
 
     Returns (x, f, grad_sup_norm, iterations, accepted_action_history,
     converged); the history lists f at x0 and at every accepted iterate.
-    ``inv_diag`` preconditions the two-loop recursion.  The loop stops on
-    convergence, on the iteration budget, or when a line search runs out of
+    ``inv_hess`` maps a gradient to its image under ``H0``, the initial
+    inverse Hessian of the two-loop recursion (scaled there by ``s.y / y.H0 y``
+    of the latest pair) and of the steepest-descent fallback.  The loop stops
+    on convergence, on the iteration budget, or when a line search runs out of
     backtracks.
 
     A trial step passes the Armijo test or the round-off test of Hager and
@@ -216,16 +225,16 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_diag, memory=12,
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_grad(x)
     history = [f]
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=memory)  # curvature pairs (s, y, 1 / s.y), oldest first
     gnorm = float(np.max(np.abs(g)))
     iters = 0
 
     while gnorm > grad_tol and iters < max_iters:
-        d = _two_loop_direction(g, s_list, y_list, rho_list, inv_diag)
+        d = _two_loop_direction(g, pairs, inv_hess)
         slope = float(np.dot(g, d))
         if slope >= 0:  # stale curvature pairs; fall back to steepest descent
-            s_list, y_list, rho_list = [], [], []
-            d = -inv_diag * g
+            pairs.clear()
+            d = -inv_hess(g)
             slope = float(np.dot(g, d))
 
         step = 1.0 if iters > 0 else min(1.0, 1.0 / (1.0 + np.linalg.norm(g)))
@@ -246,13 +255,7 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_diag, memory=12,
         y = g_new - g
         sy = float(np.dot(s, y))
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
 
         x, f, g = x_new, f_new, g_new
         history.append(f)
@@ -262,19 +265,17 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_diag, memory=12,
     return x, f, gnorm, iters, history, gnorm <= grad_tol
 
 
-def _two_loop_direction(g, s_list, y_list, rho_list, inv_diag):
-    d = -g.copy()
-    if not s_list:
-        return inv_diag * d
+def _two_loop_direction(g, pairs, inv_hess):
+    d = -g
+    if not pairs:
+        return inv_hess(d)
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * np.dot(s, d)
         alphas.append(a)
         d -= a * y
-    y_last, s_last = y_list[-1], s_list[-1]
-    gamma = np.dot(s_last, y_last) / np.dot(y_last, inv_diag * y_last)
-    d *= gamma * inv_diag
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-        b = rho * np.dot(y, d)
-        d += (a - b) * s
+    s, y, _ = pairs[-1]
+    d = np.dot(s, y) / np.dot(y, inv_hess(y)) * inv_hess(d)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        d += (a - rho * np.dot(y, d)) * s
     return d

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diskwarp.solver as solver_module
+from diskwarp import checks
 from diskwarp.config import load_config
 from diskwarp.errors import NoConvergenceError, NotConformalError
 from diskwarp.linear_geodesics import closed_form
@@ -182,6 +183,21 @@ def test_nonconformal_target_raises():
     assert np.min(result.conformal_certificate) <= CONFORMAL_MIN_DERIV
 
 
+def test_nonconformal_target_fails_before_optimizing():
+    # phi = 0 has phi' = 0 everywhere; the endpoints are certified first
+    with pytest.raises(NotConformalError) as excinfo:
+        solve(SolverConfig(n=16, num_steps=20, alpha=0.0), [0, 0])
+    result = excinfo.value.result
+    assert result.iterations == 0
+    assert not result.converged
+    assert result.conformal_certificate[-1] == 0
+    assert np.array_equal(result.path.steps, initial_guess(np.zeros(16), 20).steps)
+
+
+def test_preconditioner_inverts_hessian_at_identity_path():
+    assert checks.preconditioner(np.random.default_rng(29), 20) <= 1e-10
+
+
 def test_iteration_budget_raises_no_convergence():
     with pytest.raises(NoConvergenceError) as excinfo:
         solve(SolverConfig(n=16, num_steps=20, alpha=0.1, max_iters=2), [0, 0.5])
@@ -222,4 +238,18 @@ def test_lbfgs_reaches_grad_tol_at_about_one_evaluation_per_iteration(config_pat
         config.target,
     )
     assert result.converged and result.grad_norm <= 1e-8
+    assert result.iterations <= 30
     assert len(calls) <= result.iterations + 15
+
+
+@pytest.mark.parametrize("name, num_steps, degree_bound", [("example5a", 40, 64),
+                                                          ("example5c", 20, 128)])
+def test_iteration_count_does_not_grow_with_mesh(name, num_steps, degree_bound):
+    """The initial inverse Hessian is exact at the identity path, so the
+    larger meshes of the benchmark converge in as few iterations as the
+    shipped (N, n) = (20, 16)."""
+    config = load_config(SHIPPED_CONFIGS[0].parent / f"{name}.json")
+    result = solve(SolverConfig(n=degree_bound, num_steps=num_steps, alpha=config.alpha),
+                   config.target)
+    assert result.converged and result.grad_norm <= 1e-8
+    assert result.iterations <= 30
