@@ -38,7 +38,6 @@ from .poly import (
     evaluate,
     inner_h1,
     inner_l2,
-    mul_fft,
     mul_naive,
 )
 from .solver import (
@@ -77,7 +76,6 @@ __all__ = [
     "integrate_reduced",
     "lagrangian",
     "match_velocity",
-    "mul_fft",
     "mul_naive",
     "project_by_truncation",
     "reduced_rhs",

@@ -15,11 +15,11 @@ from .action import DiscretePath, action_and_gradient, action_gradient, discrete
 from .frames import points_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity,
                                integrate_reduced, match_velocity)
-from .poly import adjoint_dz, derivative, inner_l2, mul_fft, mul_naive
+from .poly import adjoint_dz, derivative, inner_l2
 from .solver import _inverse_hessian_at_identity, identity_map
 
-__all__ = ["BATTERY", "adjoint", "fft_product", "action_modes", "gradient", "preconditioner",
-           "conservation", "shooting", "svg_format"]
+__all__ = ["BATTERY", "adjoint", "action_modes", "gradient", "preconditioner", "conservation",
+           "shooting", "svg_format"]
 
 
 def _poly_pair(rng, max_len):
@@ -46,19 +46,6 @@ def adjoint(rng, count):
         xi, eta = _poly_pair(rng, 33)
         lhs = inner_l2(xi, derivative(eta))
         worst = np.maximum(worst, abs(lhs - inner_l2(adjoint_dz(xi), eta)) / (1 + abs(lhs)))
-    return worst
-
-
-def fft_product(rng, count):
-    """Gap of :func:`mul_fft` to the direct convolution relative to the largest
-    coefficient; infinite if the two products differ in length."""
-    worst = 0.0
-    for _ in range(count):
-        p, q = _poly_pair(rng, 65)
-        a, b = mul_naive(p, q), mul_fft(p, q)
-        if a.shape != b.shape:
-            return np.inf
-        worst = np.maximum(worst, np.max(np.abs(a - b)) / (1 + np.max(np.abs(a))))
     return worst
 
 
@@ -192,7 +179,6 @@ def _must_decline(x):
 # (name, check, arguments after ``rng``, tolerance on the worst error)
 BATTERY = [
     ("adjoint identity <xi, eta'> = <adj xi, eta>", adjoint, (50,), 1e-12),
-    ("fft product matches direct convolution", fft_product, (20,), 1e-12),
     ("action fft mode and fused kernel match naive mode", action_modes, (5,), 1e-12),
     ("analytic action gradient matches finite differences", gradient, (3, (6, 6), 0.7), 1e-6),
     # larger actions take a larger difference step

@@ -3,26 +3,34 @@
 Configs are JSON documents with the fields ``name``, ``alpha``, ``N``, ``n``,
 ``target`` (an array of ``[re, im]`` coefficient pairs), ``mesh``
 (``{"circles": R, "rays": A}``), ``format`` (``"csv"`` or ``"svg"``), and an
-optional ``output`` directory; any other field, at the top level or in
-``mesh``, is rejected, so a misspelt one cannot silently take its default.
-Parsing and invariant failures raise distinct exception types carrying the
-offending location or field.
+optional ``output`` directory.  :class:`ExperimentConfig` owns every field's
+type, value and default.  :func:`load_config` adds only the rules of JSON:
+UTF-8 text, an object at the top level and in ``mesh``, no unknown field (so
+a misspelt one cannot silently take its default), no missing field, and
+``target`` as ``[re, im]`` number pairs.  Text that is not a JSON object
+raises :class:`ConfigParseError`, any other fault :class:`ConfigValidationError`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError
+from .solver import _is_integer
 
 __all__ = ["ExperimentConfig", "load_config"]
 
 _FIELDS = ("name", "alpha", "N", "n", "target", "mesh", "format", "output")
+_REQUIRED = ("name", "alpha", "N", "n", "target")
 _MESH_FIELDS = ("circles", "rays")
+# ExperimentConfig's names for the JSON fields it spells differently
+_RENAMED = {"N": "num_steps", "n": "degree_bound", "format": "frame_format",
+            "circles": "mesh_circles", "rays": "mesh_rays"}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -40,16 +48,23 @@ class ExperimentConfig:
     def __post_init__(self):
         # the name is the default output directory under out/, so it must not
         # be able to point anywhere else
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
             raise ConfigValidationError(
                 f"name must be a single plain path component, got {self.name!r}"
             )
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigValidationError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        # NaN fails both comparisons; an int too large for a float fails the second
+        if not (_is_number(self.alpha) and 0 <= self.alpha <= _FLOAT_MAX):
+            raise ConfigValidationError(
+                f"alpha must be a finite nonnegative number, got {self.alpha!r}"
+            )
+        object.__setattr__(self, "alpha", float(self.alpha))
         for key, value in (("N", self.num_steps), ("n", self.degree_bound)):
             if not (_is_integer(value) and value >= 2):
                 raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
         target = np.atleast_1d(np.asarray(self.target, dtype=complex))
+        if target.ndim != 1:
+            raise ConfigValidationError(f"target must be one-dimensional, got {target.tolist()}")
         if not np.all(np.isfinite(target)):
             raise ConfigValidationError(f"target must be finite, got {target.tolist()}")
         if len(target) > self.degree_bound:
@@ -74,20 +89,17 @@ class ExperimentConfig:
             )
 
 
-def _is_integer(value) -> bool:
-    # bool subclasses int, but a JSON true is not a count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # bool subclasses int, but a JSON true is not a number
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
-    text = Path(path).read_text()
+    """Parse an experiment config file into a validated :class:`ExperimentConfig`."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -95,47 +107,25 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top level must be an object")
     _reject_unknown(path, raw, _FIELDS, "field")
-
-    def need(key, kind):
+    for key in _REQUIRED:
         if key not in raw:
             raise ConfigValidationError(f"{path}: missing field {key!r}")
-        value = raw[key]
-        if kind is float and _is_number(value):
-            value = float(value)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigValidationError(
-                f"{path}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
-            )
-        return value
+    mesh = raw.pop("mesh", {})
+    if not isinstance(mesh, dict):
+        raise ConfigValidationError(f"{path}: field 'mesh' must be an object")
+    _reject_unknown(path, mesh, _MESH_FIELDS, "mesh field")
 
-    name = need("name", str)
-    alpha = need("alpha", float)
-    num_steps = need("N", int)
-    degree_bound = need("n", int)
-    pairs = need("target", list)
-    target = []
+    pairs = raw["target"]
+    if not isinstance(pairs, list):
+        raise ConfigValidationError(f"{path}: target must be a list of [re, im] pairs")
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list)) or len(pair) != 2 or not all(map(_is_number, pair)):
             raise ConfigValidationError(
                 f"{path}: target[{i}] must be a [re, im] pair of numbers, got {pair!r}"
             )
-        target.append(complex(pair[0], pair[1]))
-
-    mesh = raw.get("mesh", {})
-    if not isinstance(mesh, dict):
-        raise ConfigValidationError(f"{path}: field 'mesh' must be an object")
-    _reject_unknown(path, mesh, _MESH_FIELDS, "mesh field")
-    return ExperimentConfig(
-        name=name,
-        alpha=alpha,
-        num_steps=num_steps,
-        degree_bound=degree_bound,
-        target=np.asarray(target, dtype=complex),
-        mesh_circles=mesh.get("circles", 8),
-        mesh_rays=mesh.get("rays", 16),
-        frame_format=raw.get("format", "svg"),
-        output=raw.get("output"),
-    )
+    raw["target"] = [complex(re, im) for re, im in pairs]
+    return ExperimentConfig(**{_RENAMED.get(key, key): value
+                               for key, value in {**raw, **mesh}.items()})
 
 
 def _reject_unknown(path, raw, known, what):

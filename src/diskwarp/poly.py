@@ -22,7 +22,6 @@ __all__ = [
     "as_coeffs",
     "derivative",
     "mul_naive",
-    "mul_fft",
     "inner_l2",
     "inner_h1",
     "adjoint_dz",
@@ -69,19 +68,6 @@ def derivative(p) -> np.ndarray:
 def mul_naive(p, q) -> np.ndarray:
     """Exact coefficient convolution; output degree bound ``len(p)+len(q)-1``."""
     return np.convolve(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
-
-
-def mul_fft(p, q) -> np.ndarray:
-    """Product via zero-padded FFT, numerically equal to :func:`mul_naive`.
-
-    The transform length is the next power of two at or above the full
-    product length, so no coefficient wraps around.
-    """
-    a = np.asarray(p, dtype=complex)
-    b = np.asarray(q, dtype=complex)
-    m = len(a) + len(b) - 1
-    size = 1 << max(m - 1, 0).bit_length()
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:m]
 
 
 def inner_l2(p, q) -> complex:

@@ -55,15 +55,20 @@ class SolverConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"degree bound must be at least 2, got {self.n}")
-        if self.num_steps < 2:
-            raise ValueError(f"need at least 2 time steps, got {self.num_steps}")
+        if not (_is_integer(self.n) and self.n >= 2):
+            raise ValueError(f"degree bound n must be an integer >= 2, got {self.n!r}")
+        if not (_is_integer(self.num_steps) and self.num_steps >= 2):
+            raise ValueError(f"num_steps must be an integer >= 2, got {self.num_steps!r}")
         check_alpha(self.alpha)
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+
+
+def _is_integer(value) -> bool:
+    # bool subclasses int, but True is not a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

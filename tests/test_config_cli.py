@@ -183,6 +183,15 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
             assert "config error" in err and message in err
     assert list(work.iterdir()) == []
 
+    # JSON text is UTF-8; a UTF-16 byte-order mark is not
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff\xfe" + write_config(tmp_path).read_bytes())
+    for verb in ("solve", "oracle"):
+        assert main([verb, str(garbled)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "garbled.json" in err and "UTF-8" in err
+    assert list(work.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "overrides",
@@ -311,15 +320,20 @@ def test_experiment_config_direct_validation():
         with pytest.raises(ConfigValidationError, match="mesh counts"):
             ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=[0, 1],
                              **mesh)
-    for alpha in (float("nan"), float("inf")):
+    for alpha in (float("nan"), float("inf"), "0.1", None, True):
         with pytest.raises(ConfigValidationError, match="alpha"):
             ExperimentConfig(
                 name="x", alpha=alpha, num_steps=4, degree_bound=4,
                 target=np.array([0, 1], dtype=complex),
             )
-    for name in UNSAFE_NAMES:
+    for name in UNSAFE_NAMES + [5]:
         with pytest.raises(ConfigValidationError, match="path component"):
             ExperimentConfig(
                 name=name, alpha=0.1, num_steps=4, degree_bound=4,
                 target=np.array([0, 1], dtype=complex),
             )
+    with pytest.raises(ConfigValidationError, match="one-dimensional"):
+        ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=[[0, 1]])
+    # alpha is stored as a float, so an integer alpha reports as 100.0
+    config = ExperimentConfig(name="x", alpha=100, num_steps=4, degree_bound=4, target=[0, 1])
+    assert repr(config.alpha) == "100.0"

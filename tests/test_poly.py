@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from diskwarp import checks
 from diskwarp.poly import (
     adjoint_dz,
     as_coeffs,
@@ -11,7 +10,6 @@ from diskwarp.poly import (
     evaluate,
     inner_h1,
     inner_l2,
-    mul_fft,
     mul_naive,
 )
 
@@ -55,17 +53,6 @@ def test_mul_naive_examples():
 def test_mul_output_degree_is_full():
     out = mul_naive(np.ones(5), np.ones(7))
     assert len(out) == 11
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_mul_fft_matches_naive(seed):
-    assert checks.fft_product(np.random.default_rng(seed), 1) <= 1e-12
-
-
-def test_mul_fft_identity_and_unit():
-    assert np.allclose(mul_fft([1, 1], [1, -1]), [1, 0, -1], atol=1e-12)
-    p = np.array([0.3, -0.2 + 0.5j, 1.0])
-    assert np.allclose(mul_fft(p, [1.0]), p, atol=1e-12)
 
 
 def test_inner_l2_monomial_examples():

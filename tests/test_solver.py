@@ -217,6 +217,10 @@ def test_solver_config_validation():
         SolverConfig(n=16, num_steps=20, alpha=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(n=16, num_steps=20, alpha=0.1, grad_tol=0.0)
+    for bad in ({"grad_tol": float("inf")}, {"grad_tol": float("nan")}, {"max_iters": 2.5},
+                {"n": 2.5}, {"num_steps": 2.5}, {"max_iters": True}):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"n": 16, "num_steps": 20, "alpha": 0.1, **bad})
 
 
 @pytest.mark.parametrize("config_path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
