@@ -27,8 +27,8 @@ from .linear_geodesics import (
     LinearState,
     closed_form,
     conserved_quantity,
+    initial_velocity,
     integrate_reduced,
-    match_velocity,
     reduced_rhs,
 )
 from .poly import (
@@ -71,11 +71,11 @@ __all__ = [
     "evaluate",
     "identity_map",
     "initial_guess",
+    "initial_velocity",
     "inner_h1",
     "inner_l2",
     "integrate_reduced",
     "lagrangian",
-    "match_velocity",
     "mul_naive",
     "project_by_truncation",
     "reduced_rhs",

@@ -28,7 +28,6 @@ from .poly import check_alpha, derivative, inner_l2, monomial_weights, mul_naive
 
 __all__ = [
     "DiscretePath",
-    "check_alpha",
     "lagrangian",
     "discrete_lagrangian",
     "discrete_action",

@@ -13,8 +13,8 @@ import numpy as np
 
 from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
 from .frames import points_text
-from .linear_geodesics import (LinearState, closed_form, conserved_quantity,
-                               integrate_reduced, match_velocity)
+from .linear_geodesics import (LinearState, closed_form, conserved_quantity, initial_velocity,
+                               integrate_reduced)
 from .poly import adjoint_dz, derivative, inner_l2
 from .solver import _inverse_hessian_at_identity, identity_map
 
@@ -116,15 +116,15 @@ def conservation(rng, count, alphas=(0.0, 0.1, 1.0, 100.0)):
 
 def shooting(rng, count, alphas=(0.0, 0.1, 1.0, 10.0)):
     """Largest gap at 101 nodes between :func:`closed_form` and the reduced
-    dynamics started from the velocity :func:`match_velocity` shoots, for
-    random targets near 1 and an alpha drawn from ``alphas``."""
+    dynamics started from its :func:`initial_velocity`, for random targets
+    near 1 and an alpha drawn from ``alphas``."""
     ts = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for _ in range(count):
         c1 = _near(rng, 1.0)
         alpha = float(rng.choice(alphas))
         ref = closed_form(1.0 + 0j, c1, alpha, ts)
-        a0 = match_velocity(1.0 + 0j, c1, alpha, steps=1000)
+        a0 = initial_velocity(1.0 + 0j, c1, alpha)
         traj = integrate_reduced(LinearState(1.0 + 0j, a0), alpha, 1.0, 100)
         worst = np.maximum(worst, np.max(np.abs(traj[:, 0] - ref)))
     return worst

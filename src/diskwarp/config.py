@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError
+from .poly import _is_number, check_alpha
 from .solver import _is_integer
 
 __all__ = ["ExperimentConfig", "load_config"]
@@ -30,7 +31,6 @@ _MESH_FIELDS = ("circles", "rays")
 # ExperimentConfig's names for the JSON fields it spells differently
 _RENAMED = {"N": "num_steps", "n": "degree_bound", "format": "frame_format",
             "circles": "mesh_circles", "rays": "mesh_rays"}
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,17 @@ class ExperimentConfig:
             raise ConfigValidationError(
                 f"name must be a single plain path component, got {self.name!r}"
             )
-        # NaN fails both comparisons; an int too large for a float fails the second
-        if not (_is_number(self.alpha) and 0 <= self.alpha <= _FLOAT_MAX):
-            raise ConfigValidationError(
-                f"alpha must be a finite nonnegative number, got {self.alpha!r}"
-            )
-        object.__setattr__(self, "alpha", float(self.alpha))
+        try:
+            object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        except ValueError as exc:
+            raise ConfigValidationError(str(exc)) from exc
         for key, value in (("N", self.num_steps), ("n", self.degree_bound)):
             if not (_is_integer(value) and value >= 2):
                 raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
-        target = np.atleast_1d(np.asarray(self.target, dtype=complex))
+        try:
+            target = np.atleast_1d(np.asarray(self.target, dtype=complex))
+        except OverflowError:  # an int too large for a float; name the first one
+            target = np.array([_coefficient(i, value) for i, value in enumerate(self.target)])
         if target.ndim != 1:
             raise ConfigValidationError(f"target must be one-dimensional, got {target.tolist()}")
         if not np.all(np.isfinite(target)):
@@ -89,9 +90,15 @@ class ExperimentConfig:
             )
 
 
-def _is_number(value) -> bool:
-    # bool subclasses int, but a JSON true is not a number
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _coefficient(i, *parts) -> complex:
+    """``complex(*parts)`` as ``target[i]``; an int too large for a float is a
+    ConfigValidationError."""
+    try:
+        return complex(*parts)
+    except OverflowError as exc:
+        raise ConfigValidationError(
+            f"target[{i}] must be finite, got a number too large for a float"
+        ) from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -123,7 +130,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigValidationError(
                 f"{path}: target[{i}] must be a [re, im] pair of numbers, got {pair!r}"
             )
-    raw["target"] = [complex(re, im) for re, im in pairs]
+    raw["target"] = [_coefficient(i, re, im) for i, (re, im) in enumerate(pairs)]
     return ExperimentConfig(**{_RENAMED.get(key, key): value
                                for key, value in {**raw, **mesh}.items()})
 

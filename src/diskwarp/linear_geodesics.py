@@ -32,8 +32,7 @@ with ``Q = E u lam - p**2``, split at the turning point; in w they keep full
 precision there, where the arcsin form loses half the digits.
 
 This module provides the right-hand side, a classical 4th-order fixed-step
-integrator, the closed-form geodesic and a shoot that matches the initial
-reduced velocity to a target endpoint.
+integrator, the closed-form geodesic and its exact initial reduced velocity.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import check_alpha
 from .errors import BranchFailureError, SingularInertiaError
+from .poly import check_alpha
 
 __all__ = [
     "LinearState",
@@ -53,7 +52,7 @@ __all__ = [
     "integrate_reduced",
     "conserved_quantity",
     "closed_form",
-    "match_velocity",
+    "initial_velocity",
 ]
 
 _SINGULAR_TOL = 1e-12
@@ -179,6 +178,20 @@ def _minimizer(c0: complex, c1: complex, alpha: float):
     return (*_family(0.5 * (lo + hi), u0, u1), float(np.sign(phi)))
 
 
+def _endpoints(c0, c1, alpha: float) -> tuple[complex, complex]:
+    """The endpoints as complex numbers.  At ``alpha = 0`` they must be
+    nonzero and less than a quarter turn apart, or the minimizer runs through
+    ``c = 0`` (BranchFailureError); at alpha > 0 :func:`_minimizer` checks them.
+    """
+    c0, c1 = complex(c0), complex(c1)
+    if alpha == 0.0 and (c0 == 0 or (c1 / c0).real <= 0):
+        raise BranchFailureError(
+            f"the geodesic from {c0} to {c1} at alpha = 0 reaches c = 0: the endpoints "
+            f"must be nonzero and less than a quarter turn apart"
+        )
+    return c0, c1
+
+
 def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     """Coefficient path ``c(t)`` of the geodesic from c0 to c1 at times ts.
 
@@ -195,13 +208,8 @@ def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0) or np.any(ts > 1):
         raise ValueError("query times must lie in [0, 1]")
-    c0, c1 = complex(c0), complex(c1)
+    c0, c1 = _endpoints(c0, c1, alpha)
     if alpha == 0.0:
-        if c0 == 0 or (c1 / c0).real <= 0:
-            raise BranchFailureError(
-                f"the geodesic from {c0} to {c1} at alpha = 0 reaches c = 0: the endpoints "
-                f"must be nonzero and less than a quarter turn apart"
-            )
         return c0 * np.sqrt(1.0 + ts * ((c1 / c0) ** 2 - 1.0))
 
     u_star, w0, w1, turn = _minimizer(c0, c1, alpha)
@@ -220,8 +228,14 @@ def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     return path
 
 
-def _initial_velocity(c0: complex, c1: complex, alpha: float) -> complex:
-    """Reduced velocity at t = 0 of the geodesic from c0 to c1."""
+def initial_velocity(c0: complex, c1: complex, alpha: float) -> complex:
+    """Reduced velocity ``a = (dc/dt) / c`` at t = 0 of the geodesic from c0
+    to c1, the path :func:`closed_form` evaluates, in closed form: at
+    ``alpha = 0`` it is ``((c1/c0)**2 - 1) / 2``; at ``alpha > 0`` it follows
+    from the invariants.  Raises BranchFailureError where closed_form does.
+    """
+    alpha = check_alpha(alpha)
+    c0, c1 = _endpoints(c0, c1, alpha)
     if alpha == 0.0:
         return (c1 * c1 - c0 * c0) / (2.0 * c0 * c0)
     u_star, w0, w1, turn = _minimizer(c0, c1, alpha)
@@ -230,37 +244,3 @@ def _initial_velocity(c0: complex, c1: complex, alpha: float) -> complex:
     radial = w0 / _clock_rate(w0, u_star, alpha)
     angular = turn * math.sqrt(u_star * (u_star / 2.0 + alpha)) / (u0 / 2.0 + alpha)
     return complex(sqrt_energy * (radial + 1j * angular) / u0)
-
-
-def match_velocity(c0: complex, c1: complex, alpha: float, steps: int = 1000) -> complex:
-    """Initial reduced velocity whose trajectory reaches ``c1`` at time 1.
-
-    Starts from the exact initial velocity of the geodesic and polishes it
-    against the fixed-step integrator, to an endpoint miss of 1e-10, with
-    Newton steps on the real 2x2 Jacobian of the endpoint in ``(Re a, Im a)``
-    (the flow is not holomorphic in ``a``), taken by forward differences.
-    """
-    alpha = check_alpha(alpha)
-    c0, c1 = complex(c0), complex(c1)
-    a = _initial_velocity(c0, c1, alpha)
-
-    def endpoint_miss(a0: complex) -> complex:
-        traj = integrate_reduced(LinearState(c0, a0), alpha, 1.0, steps)
-        return complex(traj[-1, 0] - c1)
-
-    for _ in range(20):
-        miss = endpoint_miss(a)
-        if abs(miss) <= 1e-10:
-            return a
-        h = 1e-7 * (1.0 + abs(a))
-        d_re = (endpoint_miss(a + h) - miss) / h
-        d_im = (endpoint_miss(a + 1j * h) - miss) / h
-        jac = np.array([[d_re.real, d_im.real], [d_re.imag, d_im.imag]])
-        try:
-            dx, dy = np.linalg.solve(jac, [-miss.real, -miss.imag])
-        except np.linalg.LinAlgError:
-            break
-        a += complex(dx, dy)
-    raise BranchFailureError(
-        f"velocity matching stalled: endpoint miss {abs(miss):.3e} after Newton iteration"
-    )

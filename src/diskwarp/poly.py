@@ -23,11 +23,14 @@ __all__ = [
     "derivative",
     "mul_naive",
     "inner_l2",
+    "check_alpha",
     "inner_h1",
     "adjoint_dz",
     "evaluate",
     "monomial_weights",
 ]
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def as_coeffs(values, n: int | None = None) -> np.ndarray:
@@ -82,10 +85,17 @@ def inner_l2(p, q) -> complex:
     return complex(np.sum(a[:m] * np.conj(b[:m]) * monomial_weights(m)))
 
 
+def _is_number(value) -> bool:
+    # bool subclasses int, but True is not a number
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_alpha(alpha: float) -> float:
-    """The metric weight ``alpha`` as a float; ValueError unless finite and >= 0."""
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    """The metric weight ``alpha`` as a float; ValueError unless it is a
+    finite nonnegative real number (a bool is not)."""
+    # NaN fails both comparisons; an int too large for a float fails the second
+    if not (_is_number(alpha) and 0 <= alpha <= _FLOAT_MAX):
+        raise ValueError(f"alpha must be a finite nonnegative number, got {alpha!r}")
     return float(alpha)
 
 

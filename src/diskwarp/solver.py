@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import DiscretePath, action_and_gradient, check_alpha
+from .action import DiscretePath, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
-from .poly import as_coeffs, derivative, evaluate
+from .poly import as_coeffs, check_alpha, derivative, evaluate
 
 __all__ = [
     "SolverConfig",

@@ -234,7 +234,8 @@ def test_path_validation_and_properties():
 
 def test_alpha_validation():
     path = DiscretePath(np.zeros((3, 2)))
-    for bad in (-0.5, float("nan"), float("inf")):
+    # a bool, a string, None and an int too large for a float are not a weight
+    for bad in (-0.5, float("nan"), float("inf"), "0.1", None, 10**400, True):
         with pytest.raises(ValueError):
             discrete_action(path, bad)
     with pytest.raises(ValueError):

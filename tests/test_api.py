@@ -8,7 +8,7 @@ PUBLIC_API = [
     "NotConformalError", "SingularInertiaError", "SolverConfig", "action_gradient", "adjoint_dz",
     "as_coeffs", "certify_conformal", "closed_form", "conserved_quantity", "derivative",
     "discrete_action", "discrete_lagrangian", "evaluate", "identity_map", "initial_guess",
-    "inner_h1", "inner_l2", "integrate_reduced", "lagrangian", "match_velocity", "mul_naive",
+    "initial_velocity", "inner_h1", "inner_l2", "integrate_reduced", "lagrangian", "mul_naive",
     "project_by_truncation", "reduced_rhs", "solve",
 ]
 

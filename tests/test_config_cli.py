@@ -183,6 +183,15 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
             assert "config error" in err and message in err
     assert list(work.iterdir()) == []
 
+    # a JSON integer too large for a float
+    huge = write_config(tmp_path, file_name="huge.json", name="huge",
+                        target=[[0.0, 0.0], [10**400, 0.0]])
+    for verb in ("solve", "oracle"):
+        assert main([verb, str(huge)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "target[1]" in err
+    assert list(work.iterdir()) == []
+
     # JSON text is UTF-8; a UTF-16 byte-order mark is not
     garbled = tmp_path / "garbled.json"
     garbled.write_bytes(b"\xff\xfe" + write_config(tmp_path).read_bytes())
@@ -312,6 +321,9 @@ def test_experiment_config_direct_validation():
         )
     for target in ([0, float("nan")], [float("inf"), 1]):
         with pytest.raises(ConfigValidationError, match="target"):
+            ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=target)
+    for target, index in (([0, 10**400], 1), ([-10**400, 1], 0)):
+        with pytest.raises(ConfigValidationError, match=rf"target\[{index}\]"):
             ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=target)
     for sizes in ({"num_steps": 2.5, "degree_bound": 4}, {"num_steps": 4, "degree_bound": 4.0}):
         with pytest.raises(ConfigValidationError, match="integer >= 2"):

@@ -8,8 +8,8 @@ from diskwarp.errors import BranchFailureError, SingularInertiaError
 from diskwarp.linear_geodesics import (
     LinearState,
     closed_form,
+    initial_velocity,
     integrate_reduced,
-    match_velocity,
     reduced_rhs,
 )
 
@@ -146,10 +146,10 @@ def geodesic_rk4(c, dc, alpha, steps, every):
 
 @pytest.mark.parametrize("alpha", [0.1, 100.0])
 def test_closed_form_matches_rk_geodesic_equation(alpha):
-    # real scalings in [0.3, 0.9] and rotations by 0.2 pi to 0.45 pi either way;
-    # initial velocities shot to the endpoint with the reduced integrator
+    # real scalings in [0.3, 0.9] and rotations by 0.2 pi to 0.45 pi either way,
+    # each integrated from its exact initial velocity
     targets = [0.3, 0.6, 0.9] + [np.exp(1j * PI * s * f) for s in (-1, 1) for f in (0.2, 0.3, 0.45)]
-    a0 = np.array([match_velocity(1.0 + 0j, c1, alpha, steps=1000) for c1 in targets])
+    a0 = np.array([initial_velocity(1.0 + 0j, c1, alpha) for c1 in targets])
     ones = np.ones(len(targets), dtype=complex)
     traj = geodesic_rk4(ones, a0, alpha, steps=2000, every=100)
     ts = np.linspace(0.0, 1.0, 21)
@@ -157,13 +157,31 @@ def test_closed_form_matches_rk_geodesic_equation(alpha):
         assert np.max(np.abs(traj[:, i] - closed_form(1.0, c1, alpha, ts))) <= 1e-9
 
 
-def test_match_velocity_hits_endpoint():
-    # at 8 steps the integrator misses the exact geodesic's endpoint by ~1e-5,
-    # so the Newton polish has to do the matching
-    for steps in (500, 8):
-        a0 = match_velocity(1.0 + 0j, 0.5 + 0.1j, 0.3, steps=steps)
-        traj = integrate_reduced(LinearState(1.0 + 0j, a0), 0.3, 1.0, steps)
-        assert abs(traj[-1, 0] - (0.5 + 0.1j)) <= 1e-10
+def test_initial_velocity_hits_endpoint():
+    a0 = initial_velocity(1.0 + 0j, 0.5 + 0.1j, 0.3)
+    traj = integrate_reduced(LinearState(1.0 + 0j, a0), 0.3, 1.0, 500)
+    assert abs(traj[-1, 0] - (0.5 + 0.1j)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 100.0])
+def test_initial_velocity_is_closed_form_derivative(alpha):
+    # one-sided 3-point difference of the closed form at t = 0, over c0
+    h = 1e-5
+    for c0, c1 in ((1.0, 0.5), (1.0, np.exp(0.3j * PI)), (0.9 - 0.2j, 0.7 * np.exp(0.3j))):
+        c = closed_form(c0, c1, alpha, [0.0, h, 2 * h])
+        slope = (-3 * c[0] + 4 * c[1] - c[2]) / (2 * h)
+        assert abs(slope / c0 - initial_velocity(c0, c1, alpha)) <= 1e-8
+
+
+def test_initial_velocity_branch_failures():
+    # the same endpoints closed_form rejects: c0 = 0 at any alpha, a quarter
+    # turn or more at alpha = 0, a half turn at alpha > 0
+    for c0, c1, alpha in ((0.0, 0.5, 0.0), (0.0, 0.5, 1.0), (1.0, 1j, 0.0),
+                          (1.0, np.exp(0.95j * PI), 0.0), (1.0, -1.0, 0.1), (0.5j, -0.5j, 10.0)):
+        with pytest.raises(BranchFailureError):
+            closed_form(c0, c1, alpha, [0.0, 1.0])
+        with pytest.raises(BranchFailureError):
+            initial_velocity(c0, c1, alpha)
 
 
 def test_branch_failure_for_large_rotation():

@@ -218,7 +218,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n=16, num_steps=20, alpha=0.1, grad_tol=0.0)
     for bad in ({"grad_tol": float("inf")}, {"grad_tol": float("nan")}, {"max_iters": 2.5},
-                {"n": 2.5}, {"num_steps": 2.5}, {"max_iters": True}):
+                {"n": 2.5}, {"num_steps": 2.5}, {"max_iters": True}, {"alpha": True},
+                {"alpha": "0.1"}, {"alpha": None}, {"alpha": 10**400}):
         with pytest.raises(ValueError):
             SolverConfig(**{"n": 16, "num_steps": 20, "alpha": 0.1, **bad})
 
