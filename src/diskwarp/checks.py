@@ -1,10 +1,10 @@
 """The numerical identities the package rests on, one function each.
 
 Every check draws its samples from ``rng``, runs ``count`` trials and returns
-the worst error it saw (NaN if any trial gave NaN); :func:`svg_format`
-returns the number of values it got wrong.  ``diskwarp check`` runs
-them through :data:`BATTERY`; the test suite calls the same functions with
-its own seeds, counts and tolerances.
+the worst error it saw (NaN if any trial gave NaN); :func:`svg_format` and
+:func:`csv_format` return the number of values they got wrong.  ``diskwarp
+check`` runs them through :data:`BATTERY`; the test suite calls the same
+functions with its own seeds, counts and tolerances.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
-from .frames import points_text
+from .frames import points_text, repr_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity, initial_velocity,
                                integrate_reduced)
 from .poly import adjoint_dz, derivative, inner_l2
 from .solver import _inverse_hessian_at_identity, identity_map
 
 __all__ = ["BATTERY", "adjoint", "action_modes", "gradient", "preconditioner", "conservation",
-           "shooting", "svg_format"]
+           "shooting", "svg_format", "csv_format"]
 
 
 def _poly_pair(rng, max_len):
@@ -176,6 +176,40 @@ def _must_decline(x):
     return scaled >= 999_999_998 * den or abs(2 * (scaled % den) - den) * 2**51 <= scaled
 
 
+def csv_format(rng, count):
+    """Number of values whose :func:`repr_text` differs from ``repr``.
+
+    The values are ``count`` of each kind: magnitudes log-uniform from 1e-6
+    to 1e17 of both signs, random bit patterns, short decimals such as
+    ``float("0.125")``, and exact dyadic ties, where ``X = |x| * 10**j`` is
+    an odd multiple of 1/2 or of 5.  Then every power of two from 2**-20 to
+    2**60, where the rounding interval is asymmetric, and its neighbours,
+    the neighbours of 1e-4, 1e15 and 1e16, and the extremes +-0, 5e-324, the
+    largest double, NaN and +-inf.  All go through the kernel together, so
+    declined values sit among accepted ones.
+    """
+    signs = rng.choice([-1.0, 1.0], (3, count))
+    j = rng.integers(2, 21, count)
+    halves = rng.integers(0, 2, count)
+    odd = rng.uniform(10.0 ** (16 - j), 10.0 ** (17 - j)) * 2.0 ** (j + halves) // 2 * 2 + 1
+    powers = np.ldexp(1.0, np.arange(-20, 61))
+    edges = np.array([1e-4, 1e15, 1e16])
+    edges = np.concatenate([edges, powers, np.nextafter(edges, 0), np.nextafter(powers, 0),
+                            np.nextafter(edges, np.inf), np.nextafter(powers, np.inf)])
+    short = signs[1] * 10.0 ** rng.uniform(-5, 16, count)
+    values = np.concatenate([
+        signs[0] * 10.0 ** rng.uniform(-6, 17, count),
+        rng.integers(0, 2**64, count, dtype=np.uint64).view(float),
+        [float(f"{x:.{digits}e}") for x, digits in zip(short, rng.integers(0, 16, count))],
+        signs[2] * np.ldexp(odd, -(j + halves)),
+        edges, np.negative(edges),
+        [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+         np.nan, np.inf, -np.inf],
+    ])
+    return sum(text.tobytes().replace(b"\0", b"").decode() != repr(x)
+               for text, x in zip(repr_text(values)[0], values.tolist()))
+
+
 # (name, check, arguments after ``rng``, tolerance on the worst error)
 BATTERY = [
     ("adjoint identity <xi, eta'> = <adj xi, eta>", adjoint, (50,), 1e-12),
@@ -189,4 +223,5 @@ BATTERY = [
     ("reduced dynamics conserve energy and Clairaut momentum", conservation, (5,), 1e-10),
     ("closed form agrees with integrated dynamics", shooting, (3,), 1e-7),
     ("fixed-point SVG coordinates match %.6f", svg_format, (200,), 0),
+    ("shortest-repr CSV coordinates match repr", csv_format, (2000,), 0),
 ]

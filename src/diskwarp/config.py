@@ -62,8 +62,9 @@ class ExperimentConfig:
                 raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
         try:
             target = np.atleast_1d(np.asarray(self.target, dtype=complex))
-        except OverflowError:  # an int too large for a float; name the first one
-            target = np.array([_coefficient(i, value) for i, value in enumerate(self.target)])
+        except (OverflowError, TypeError, ValueError):  # name the first entry at fault
+            entries = self.target if np.iterable(self.target) else [self.target]
+            target = np.array([_coefficient(i, value) for i, value in enumerate(entries)])
         if target.ndim != 1:
             raise ConfigValidationError(f"target must be one-dimensional, got {target.tolist()}")
         if not np.all(np.isfinite(target)):
@@ -91,14 +92,20 @@ class ExperimentConfig:
 
 
 def _coefficient(i, *parts) -> complex:
-    """``complex(*parts)`` as ``target[i]``; an int too large for a float is a
-    ConfigValidationError."""
+    """``complex(*parts)`` as ``target[i]``; a sequence, a non-number or an
+    int too large for a float is a ConfigValidationError."""
+    if any(np.iterable(part) and not isinstance(part, str) for part in parts):
+        raise ConfigValidationError(
+            f"target must be one-dimensional, got a sequence at target[{i}]"
+        )
     try:
         return complex(*parts)
     except OverflowError as exc:
         raise ConfigValidationError(
             f"target[{i}] must be finite, got a number too large for a float"
         ) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigValidationError(f"target[{i}] must be a number, got {parts[0]!r}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

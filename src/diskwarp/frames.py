@@ -5,16 +5,17 @@ radial spokes (angle ``2 pi m / A``) of the unit disk through one step's
 polynomial.  Frames serialize either as a single CSV table or as one SVG of
 plain polylines per step; both writers are deterministic byte for byte.
 
-The writers format whole arrays, not points.  An SVG frame's coordinates go
-through :func:`points_text`, a numpy fixed-point kernel that rounds every
-``x, -y`` to millionths at once and assembles the digits from lookup
-tables, giving the bytes of ``"%.6f"``.  A frame with a value the kernel
-declines (too large, not finite, or a possible rounding tie) is formatted
-with one ``%`` per polyline instead.  A CSV frame is one ``%`` over its
-interleaved ``(step, x, y)`` list with a row template built once per frame
-layout; ``%r`` on Python floats gives the same bytes as per-point
-f-strings, and shortest round-trip ``repr`` is nearly all of the CSV
-writer's time.
+The writers format whole arrays, not points, with numpy kernels that build
+the digits from lookup tables and pad the text with NUL bytes, which are
+dropped before a write.  An SVG frame's coordinates go through
+:func:`points_text`, which rounds every ``x, -y`` to millionths at once and
+gives the bytes of ``"%.6f"``; a frame with a value it declines (too large,
+not finite, or a possible rounding tie) is formatted with one ``%`` per
+polyline instead.  A CSV frame's coordinates go through :func:`repr_text`,
+which gives the bytes of ``repr``, the shortest decimal that reads back to
+the same double, by exact arithmetic on each value's rounding interval; a
+value it declines (out of its range, or a possible tie) gets ``repr`` one at
+a time.
 """
 
 from __future__ import annotations
@@ -108,29 +109,190 @@ def points_text(lines):
     return [next(texts) if count else "" for count in counts]
 
 
+# repr_text's tables.  10**j and its Veltkamp split for j <= 20, all exact.
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HIGH = _POW10 * _SPLIT
+_POW10_HIGH -= _POW10_HIGH - _POW10
+# Per biased exponent E of |x| in [2**-14, 2**50): j = 16 - floor(log10(2**(E -
+# 1023))), and the least double >= 10**(17 - j), from which on j is one less
+# (the double nearest 10**-m, m = 1..4, lies above it).
+_EXPONENT0 = 1009
+_DECADE = np.floor((np.arange(_EXPONENT0, 1073) - 1023) * np.log10(2.0)).astype(np.int64)
+_J = 16 - _DECADE
+_NEXT_DECADE = np.array([float(f"1e{decade + 1}") for decade in _DECADE])
+# A row of text is 24 bytes: a spare NUL, the sign, "0.", "0.0", "0.00" or
+# "0.000" for |x| < 1, the first digit, then 16 digits in four words of four.
+_HEAD = np.zeros((2, 21, 10, 8), np.uint8)  # bytes 0-7 by (sign, j, first digit)
+_HEAD[1, :, :, 1] = ord("-")
+_HEAD[:, :, :, 7] = ord("0") + np.arange(10)
+for _j in range(17, 21):
+    _HEAD[:, _j, :, 2:_j - 13] = np.frombuffer(b"0.000"[:_j - 15], np.uint8)
+_HEAD = _HEAD.view(np.uint64).ravel()
+_ZERO = np.zeros((2, 24), np.uint8)  # "0.0" and "-0.0"
+_ZERO[:, 2:5] = np.frombuffer(b"0.0", np.uint8)
+_ZERO[1, 1] = ord("-")
+_ZERO = _ZERO.view(np.uint64)
+# "dddd" for 0..9999, then the same with trailing zeros as NUL
+_QUADS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+_TRAILING = np.logical_and.accumulate(_QUADS[:, ::-1] == ord("0"), 1)[:, ::-1]
+_QUADS = np.concatenate([_QUADS, np.where(_TRAILING, np.uint8(0), _QUADS)])
+_QUADS = np.ascontiguousarray(_QUADS).view(np.uint32)[:, 0]
+# for 1 <= |x|: the "0" bits of the digits up to the first decimal, the first
+# `at` bytes of a row, and a "." at byte at - 1, indexed by `at`
+_BYTE = np.arange(24)
+_UNITS = np.where((_BYTE >= 7) & (_BYTE <= 24 - np.arange(17)[:, None]), ord("0"), 0)
+_UNITS = _UNITS.astype(np.uint8).view(np.uint64)
+_BELOW = np.where(_BYTE < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64)
+_POINT = np.where(_BYTE == np.arange(-1, 24)[:, None], ord("."), 0).astype(np.uint8).view(np.uint64)
+
+
+def repr_text(values):
+    """The ``repr`` text of each value of the float64 array ``values``, as
+    rows of 24 bytes padded with NUL, and a mask of the values the kernel
+    declined; their rows hold ``repr`` itself, formatted one value at a time.
+
+    ``repr`` writes the shortest decimal that reads back to the same double,
+    the nearest to it among the shortest (Steele & White; Gay), positional
+    for ``1e-4 <= |x| < 1e16``.  The kernel covers zeros and finite ``1e-4
+    <= |x| < 1e15`` and finds the digits as Ryu does (Adams, PLDI 2018),
+    with integer arithmetic on the rounding interval.  With ``j = 16 -
+    floor(log10|x|)``, at most 20 so that ``10**j`` is an exact double,
+    ``X = |x| * 10**j`` lies in ``[1e16, 1e17)`` and is formed exactly as
+    ``hi + lo`` by Dekker's product with Veltkamp's split, since numpy has
+    no fused multiply-add.  The digits are those of the multiple of the
+    largest ``10**k`` that reads back to ``x``, the nearest to ``X`` if
+    several do.  The kernel declines a value out of its range, such as
+    round-off near ``1e-17`` that ``repr`` writes with an exponent, and one
+    whose two nearest candidates may tie, such as ``2.51564788818359375``.
+    """
+    v = np.ravel(np.asarray(values, dtype=float))
+    mag = np.abs(v)
+    covered = (mag >= 1e-4) & (mag < 1e15)
+    x = np.where(covered, mag, 0.30000000000000004)  # a placeholder of 17 digits
+    exponent = x.view(np.int64) >> 52
+    j = _J.take(exponent - _EXPONENT0) - (x >= _NEXT_DECADE.take(exponent - _EXPONENT0))
+    scale = _POW10.take(j)
+    scale_high = _POW10_HIGH.take(j)
+    scale_low = scale - scale_high
+    hi = x * scale
+    split = x * _SPLIT
+    x_high = split - (split - x)
+    x_low = x - x_high
+    lo = ((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
+    # The doubles that read back to x = f * 2**(e - 53) lie within X +- h,
+    # h = 2**(e - 54) * 10**j: a power of two times 10**j, so exact.  Neither
+    # end is an integer, since X +- h = (2f +- 1) * 5**j * 2**(e + j - 54) and
+    # X < 1e17 makes e + j <= 52; and lo +- h is exact, as a multiple of
+    # 2**-47 below 32.  (Below a power of two the gap is h / 2, which for the
+    # powers of two in range changes no digits; csv_format checks them all.)
+    h = ((exponent - 53) << 52).view(float) * scale
+    floor_lo = np.floor(lo)
+    whole = hi.astype(np.int64)  # hi >= 1e16 > 2**53 is an integer
+    nearest = whole + floor_lo.astype(np.int64)  # floor(X)
+    frac = lo - floor_lo
+    tens_lower = (whole + np.floor(lo - h).astype(np.int64)) // 10
+    tens_upper = (whole + np.floor(lo + h).astype(np.int64)) // 10
+    # The digits are those of the candidate with the most trailing zeros k:
+    # k = 0, the integer nearest X, or k = 1, the multiple of 10 nearest X
+    # (h > 0.55 and the interval is symmetric, so both lie in it if any
+    # integer or multiple of 10 does); k >= 2, the only multiple of 100 in
+    # it, as 2h < 22.3.  X at n + 1/2, or at 10n + 5 with a multiple of 10 in
+    # the interval, may be halfway between two candidates and is declined.
+    has_ten = tens_upper > tens_lower
+    tens = (nearest + 5) // 10
+    digits = np.where(has_ten, 10 * tens, nearest + (frac > 0.5))
+    declined = ~covered | np.where(has_ten, (frac == 0) & (10 * tens == nearest + 5), frac == 0.5)
+    hundreds = np.flatnonzero(tens_upper // 10 > tens_lower // 10)
+    digits[hundreds] = (tens_lower[hundreds] // 10 + 1) * 100
+    # the first digit, then four words of four digits, in which the zeros
+    # after the last nonzero digit are NUL
+    top = digits // 10**8
+    first = top // 10**8
+    high = top - first * 10**8
+    low = digits - top * 10**8
+    q0, q2 = high // 10**4, low // 10**4
+    q1, q3 = high - q0 * 10**4, low - q2 * 10**4
+    text = np.empty((len(v), 3), np.uint64)
+    sign = np.signbit(v)
+    text[:, 0] = _HEAD.take(sign * 210 + 10 * j + first)
+    words = text.view(np.uint32)
+    words[:, 2] = _QUADS.take(q0 + 10000 * ((low == 0) & (q1 == 0)))
+    words[:, 3] = _QUADS.take(q1 + 10000 * (low == 0))
+    words[:, 4] = _QUADS.take(q2 + 10000 * (q3 == 0))
+    words[:, 5] = _QUADS.take(q3 + 10000)
+    ones = np.flatnonzero(j <= 16)
+    if ones.size:
+        # keep the zeros of the integer part and of the first decimal, and move
+        # the bytes before the first decimal down one to make room for "."
+        at = 24 - j[ones]
+        rows = text[ones] | _UNITS[j[ones]]
+        before = rows & _BELOW[at]
+        rows ^= before
+        rows |= _POINT[at] | (before >> np.uint64(8))
+        rows[:, :2] |= before[:, 1:] << np.uint64(56)
+        text[ones] = rows
+    zeros = np.flatnonzero(mag == 0)
+    text[zeros] = _ZERO[sign[zeros].view(np.uint8)]
+    declined[zeros] = False
+    if declined.any():
+        text[declined] = np.array(list(map(repr, v[declined].tolist())),
+                                  "S24").view(np.uint64).reshape(-1, 3)
+    return text.view(np.uint8), declined
+
+
 def write_frames_csv(frames, out_path):
     """All frames in a single table: ``step,line_id,point_index,x,y``.
 
     Coordinates are written with shortest round-trip formatting, so files
-    are reproducible and parse back to the exact evaluated values.
+    are reproducible and parse back to the exact evaluated values.  A frame
+    is one byte matrix with a row per point: the step, the row prefix
+    ``line_id,point_index,`` (built once per frame layout) and the
+    :func:`repr_text` of ``x`` and ``y``; its NUL padding is dropped and the
+    frame written at once.
     """
-    templates = {}  # row template per frame layout, usually one for all frames
+    matrices = {}  # per frame layout and width of the step, usually two for all frames
     with open(out_path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for step, frame in enumerate(frames):
-            layout = tuple((line_id, len(pts)) for line_id, pts in frame)
-            if not layout:
+            points = np.concatenate([pts for _, pts in frame] or [[]], dtype=complex)
+            if not len(points):
                 continue
-            if layout not in templates:
-                templates[layout] = "".join(
-                    f"%d,{str(line_id).replace('%', '%%')},{i},%r,%r\n"
-                    for line_id, count in layout for i in range(count)
-                )
-            points = np.concatenate([pts for _, pts in frame])
-            values = [step, 0.0, 0.0] * len(points)
-            values[1::3] = points.real.tolist()
-            values[2::3] = points.imag.tolist()
-            fh.write(templates[layout] % tuple(values))
+            step_text = np.frombuffer(f"{step},".encode(), np.uint8)
+            key = (tuple((str(line_id), len(pts)) for line_id, pts in frame), len(step_text))
+            if key not in matrices:
+                matrices[key] = _csv_matrix(*key)
+            matrix = matrices[key]
+            xy = repr_text(points.view(float))[0]
+            matrix[:, :len(step_text)] = step_text
+            matrix[:, -50:-26] = xy[0::2]
+            matrix[:, -25:-1] = xy[1::2]
+            fh.write(matrix.tobytes().translate(None, b"\0").decode())
+
+
+def _csv_matrix(layout, step_width):
+    """CSV rows for a frame of ``(line_id, point count)`` lines, padded with
+    NUL: ``step_width`` bytes for the step, ``line_id,point_index,``, 24
+    bytes for ``x``, a comma, 24 bytes for ``y`` and a newline."""
+    if any("\0" in line_id for line_id, _ in layout):
+        raise ValueError(f"line ids must not contain NUL, got {[line_id for line_id, _ in layout]}")
+    counts = np.array([count for _, count in layout])
+    ids = _byte_rows([f"{line_id}," for line_id, _ in layout])
+    indices = _byte_rows([f"{i}," for i in range(counts.max())])
+    starts = np.cumsum(counts) - counts
+    prefix = np.concatenate([np.repeat(ids, counts, 0),
+                             indices[np.arange(counts.sum()) - np.repeat(starts, counts)]], 1)
+    matrix = np.zeros((len(prefix), step_width + prefix.shape[1] + 50), np.uint8)
+    matrix[:, step_width:-50] = prefix
+    matrix[:, -26] = ord(",")
+    matrix[:, -1] = ord("\n")
+    return matrix
+
+
+def _byte_rows(texts):
+    """The UTF-8 bytes of each string as a row, padded with NUL."""
+    rows = np.array([text.encode() for text in texts])
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
 def write_frames_svg(frames, out_dir, size: int = 512):

@@ -260,6 +260,13 @@ def test_cli_check_verb():
     assert main(["check"]) == 0
 
 
+def test_battery_runs_every_check():
+    """``diskwarp check`` and the tests call the same checks: every function
+    that ``diskwarp.checks`` exports is in its battery."""
+    run = {check for _, check, _, _ in checks.BATTERY}
+    assert run == {getattr(checks, name) for name in checks.__all__ if name != "BATTERY"}
+
+
 def test_cli_check_fails_on_a_wrong_gradient(monkeypatch, capsys):
     exact = checks.action_gradient
     monkeypatch.setattr(checks, "action_gradient",
@@ -344,8 +351,12 @@ def test_experiment_config_direct_validation():
                 name=name, alpha=0.1, num_steps=4, degree_bound=4,
                 target=np.array([0, 1], dtype=complex),
             )
-    with pytest.raises(ConfigValidationError, match="one-dimensional"):
-        ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=[[0, 1]])
+    # nested, ragged and non-number targets, also beside an int too large for a float
+    for target in ([[0, 1]], [[0, 10**400]], [1, [2, 3]], [1, [2, 10**400]]):
+        with pytest.raises(ConfigValidationError, match="one-dimensional"):
+            ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=target)
+    with pytest.raises(ConfigValidationError, match=r"target\[0\] must be a number"):
+        ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=["a", 1])
     # alpha is stored as a float, so an integer alpha reports as 100.0
     config = ExperimentConfig(name="x", alpha=100, num_steps=4, degree_bound=4, target=[0, 1])
     assert repr(config.alpha) == "100.0"

@@ -5,8 +5,8 @@ import pytest
 
 from diskwarp import checks
 from diskwarp.action import DiscretePath
-from diskwarp.frames import (CSV_HEADER, disk_mesh, points_text, warp_frames, write_frames_csv,
-                             write_frames_svg)
+from diskwarp.frames import (CSV_HEADER, disk_mesh, points_text, repr_text, warp_frames,
+                             write_frames_csv, write_frames_svg)
 
 
 def linear_path(scales, n=4):
@@ -153,7 +153,13 @@ def _awkward_frames():
     """Signed zeros, exponent reprs, a point far outside the unit disk, lines
     of unequal length, a line id with a percent sign, an empty frame, lines
     without points, a rounding tie among values the fixed-point kernel takes,
-    and integer parts of one to three digits."""
+    and integer parts of one to three digits.  For the CSV kernel: powers of
+    two and their neighbours, where the rounding interval is asymmetric, the
+    edges of its range 1e-4 and 1e15 and of positional ``repr`` at 1e16, the
+    sum 0.1 + 0.2, and a dyadic value ``2.51564788818359375`` whose two
+    nearest 17-digit decimals tie."""
+    edges = np.array([2.0**-20, 0.5, 1024.0, 9.999999999999999e-05, 0.0001, 1e15, 1e16])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
     return [
         [
             ("zeros", np.array([complex(0.0, 0.0), complex(-0.0, 0.0),
@@ -184,17 +190,40 @@ def _awkward_frames():
             # 7812.5 and 23437.5 millionths: %.6f rounds ties to even
             ("tie", np.array([0.5 + 0.0078125j, -0.0234375 + 0.5j])),
         ],
+        [
+            ("edges", edges - 1j * edges[::-1]),
+            ("sums", np.array([(0.1 + 0.2) - 2.51564788818359375j, -2.51564788818359375 + 0.3j])),
+        ],
     ]
 
 
 def test_awkward_frames_take_the_kernel_and_the_fallback():
     declined = [points_text([pts for _, pts in frame]) is None for frame in _awkward_frames()]
-    assert declined == [False, True, False, False, False, True]
+    assert declined == [False, True, False, False, False, True, True]
 
 
 def test_svg_coordinate_kernel_matches_percent_format():
     for seed in range(3):
         assert checks.svg_format(np.random.default_rng(seed), 300) == 0
+
+
+def test_csv_rejects_nul_in_line_id(tmp_path):
+    """NUL pads the writer's rows, so a line id cannot hold one."""
+    with pytest.raises(ValueError, match="NUL"):
+        write_frames_csv([[("a\0b", np.array([0.5 + 0.25j]))]], tmp_path / "frames.csv")
+
+
+def test_csv_coordinate_kernel_matches_repr():
+    for seed in range(3):
+        assert checks.csv_format(np.random.default_rng(seed), 3000) == 0
+
+
+def test_csv_kernel_declines_few_values():
+    """Declining every value would pass the format check with ``repr`` alone."""
+    values = np.random.default_rng(3).standard_normal(100_000)
+    text, declined = repr_text(values)
+    assert np.count_nonzero(declined) < 1000
+    assert text.tobytes().replace(b"\0", b"").decode() == "".join(map(repr, values.tolist()))
 
 
 @pytest.mark.parametrize("frames", [
