@@ -123,28 +123,30 @@ _J = 16 - _DECADE
 _NEXT_DECADE = np.array([float(f"1e{decade + 1}") for decade in _DECADE])
 # A row of text is 24 bytes: a spare NUL, the sign, "0.", "0.0", "0.00" or
 # "0.000" for |x| < 1, the first digit, then 16 digits in four words of four.
+# It is handled as three little-endian words, whose shifts move bytes.
+_U64LE = np.dtype("<u8")
 _HEAD = np.zeros((2, 21, 10, 8), np.uint8)  # bytes 0-7 by (sign, j, first digit)
 _HEAD[1, :, :, 1] = ord("-")
 _HEAD[:, :, :, 7] = ord("0") + np.arange(10)
 for _j in range(17, 21):
     _HEAD[:, _j, :, 2:_j - 13] = np.frombuffer(b"0.000"[:_j - 15], np.uint8)
-_HEAD = _HEAD.view(np.uint64).ravel()
+_HEAD = _HEAD.view(_U64LE).ravel()
 _ZERO = np.zeros((2, 24), np.uint8)  # "0.0" and "-0.0"
 _ZERO[:, 2:5] = np.frombuffer(b"0.0", np.uint8)
 _ZERO[1, 1] = ord("-")
-_ZERO = _ZERO.view(np.uint64)
+_ZERO = _ZERO.view(_U64LE)
 # "dddd" for 0..9999, then the same with trailing zeros as NUL
 _QUADS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
 _TRAILING = np.logical_and.accumulate(_QUADS[:, ::-1] == ord("0"), 1)[:, ::-1]
 _QUADS = np.concatenate([_QUADS, np.where(_TRAILING, np.uint8(0), _QUADS)])
 _QUADS = np.ascontiguousarray(_QUADS).view(np.uint32)[:, 0]
-# for 1 <= |x|: the "0" bits of the digits up to the first decimal, the first
-# `at` bytes of a row, and a "." at byte at - 1, indexed by `at`
+# for 1 <= |x|: by j, the "0" bits of the digits up to the first decimal; by
+# `at`, the first `at` bytes of a row, and a "." at byte at - 1
 _BYTE = np.arange(24)
 _UNITS = np.where((_BYTE >= 7) & (_BYTE <= 24 - np.arange(17)[:, None]), ord("0"), 0)
-_UNITS = _UNITS.astype(np.uint8).view(np.uint64)
-_BELOW = np.where(_BYTE < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64)
-_POINT = np.where(_BYTE == np.arange(-1, 24)[:, None], ord("."), 0).astype(np.uint8).view(np.uint64)
+_UNITS = _UNITS.astype(np.uint8).view(_U64LE)
+_BELOW = np.where(_BYTE < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8).view(_U64LE)
+_POINT = np.where(_BYTE == np.arange(-1, 24)[:, None], ord("."), 0).astype(np.uint8).view(_U64LE)
 
 
 def repr_text(values):
@@ -213,7 +215,7 @@ def repr_text(values):
     low = digits - top * 10**8
     q0, q2 = high // 10**4, low // 10**4
     q1, q3 = high - q0 * 10**4, low - q2 * 10**4
-    text = np.empty((len(v), 3), np.uint64)
+    text = np.empty((len(v), 3), _U64LE)
     sign = np.signbit(v)
     text[:, 0] = _HEAD.take(sign * 210 + 10 * j + first)
     words = text.view(np.uint32)
@@ -237,7 +239,7 @@ def repr_text(values):
     declined[zeros] = False
     if declined.any():
         text[declined] = np.array(list(map(repr, v[declined].tolist())),
-                                  "S24").view(np.uint64).reshape(-1, 3)
+                                  "S24").view(_U64LE).reshape(-1, 3)
     return text.view(np.uint8), declined
 
 
