@@ -121,7 +121,7 @@ def _write_run(config: ExperimentConfig, path: DiscretePath, out_dir: Path, kind
         *fields,
         f"frames: {frame_files}",
     ]
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_check(stream=None) -> int:
@@ -160,6 +160,9 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config", type=Path)
     p_sweep.add_argument("--output", type=Path, default=None)
 
+    # a config name the locale cannot encode must not fail a finished run
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(errors="backslashreplace")
     args = parser.parse_args(argv)
     try:
         if args.verb == "solve":

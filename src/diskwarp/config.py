@@ -60,13 +60,9 @@ class ExperimentConfig:
         for key, value in (("N", self.num_steps), ("n", self.degree_bound)):
             if not (_is_integer(value) and value >= 2):
                 raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
-        try:
-            target = np.atleast_1d(np.asarray(self.target, dtype=complex))
-        except (OverflowError, TypeError, ValueError):  # name the first entry at fault
-            entries = self.target if np.iterable(self.target) else [self.target]
-            target = np.array([_coefficient(i, value) for i, value in enumerate(entries)])
-        if target.ndim != 1:
-            raise ConfigValidationError(f"target must be one-dimensional, got {target.tolist()}")
+        scalar = isinstance(self.target, (str, bytes)) or not np.iterable(self.target)
+        target = np.array([_coefficient(i, value) for i, value in
+                           enumerate([self.target] if scalar else self.target)], dtype=complex)
         if not np.all(np.isfinite(target)):
             raise ConfigValidationError(f"target must be finite, got {target.tolist()}")
         if len(target) > self.degree_bound:
@@ -92,20 +88,22 @@ class ExperimentConfig:
 
 
 def _coefficient(i, *parts) -> complex:
-    """``complex(*parts)`` as ``target[i]``; a sequence, a non-number or an
-    int too large for a float is a ConfigValidationError."""
-    if any(np.iterable(part) and not isinstance(part, str) for part in parts):
-        raise ConfigValidationError(
-            f"target must be one-dimensional, got a sequence at target[{i}]"
-        )
+    """``complex(*parts)`` as ``target[i]``; a sequence, anything but an int,
+    float or complex number (numpy's included, a bool not) or an int too
+    large for a float is a ConfigValidationError."""
+    for part in parts:
+        if isinstance(part, bool) or not isinstance(part, (int, float, complex, np.number)):
+            if np.iterable(part) and not isinstance(part, (str, bytes)):
+                raise ConfigValidationError(
+                    f"target must be one-dimensional, got a sequence at target[{i}]"
+                )
+            raise ConfigValidationError(f"target[{i}] must be a number, got {part!r}")
     try:
         return complex(*parts)
     except OverflowError as exc:
         raise ConfigValidationError(
             f"target[{i}] must be finite, got a number too large for a float"
         ) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigValidationError(f"target[{i}] must be a number, got {parts[0]!r}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -11,11 +11,13 @@ dropped before a write.  An SVG frame's coordinates go through
 :func:`points_text`, which rounds every ``x, -y`` to millionths at once and
 gives the bytes of ``"%.6f"``; a frame with a value it declines (too large,
 not finite, or a possible rounding tie) is formatted with one ``%`` per
-polyline instead.  A CSV frame's coordinates go through :func:`repr_text`,
-which gives the bytes of ``repr``, the shortest decimal that reads back to
-the same double, by exact arithmetic on each value's rounding interval; a
-value it declines (out of its range, or a possible tie) gets ``repr`` one at
-a time.
+polyline instead.  A CSV frame's rows are three byte tables side by side:
+``step,`` from a table of every step, built once per file; the
+``line_id,point_index,`` text of each row, built once per frame layout; and
+the coordinates from :func:`repr_text`, which gives the bytes of ``repr``,
+the shortest decimal that reads back to the same double, by exact
+arithmetic on each value's rounding interval; a value it declines (out of
+its range, or a possible tie) gets ``repr`` one at a time.
 """
 
 from __future__ import annotations
@@ -248,47 +250,40 @@ def write_frames_csv(frames, out_path):
 
     Coordinates are written with shortest round-trip formatting, so files
     are reproducible and parse back to the exact evaluated values.  A frame
-    is one byte matrix with a row per point: the step, the row prefix
-    ``line_id,point_index,`` (built once per frame layout) and the
-    :func:`repr_text` of ``x`` and ``y``; its NUL padding is dropped and the
-    frame written at once.
+    is one byte matrix with a row per point, filled from three NUL-padded
+    byte tables: ``step,`` (one row per step, built once per file), the row
+    prefix ``line_id,point_index,`` (built once per frame layout, whose
+    matrix every frame with that layout reuses) and the :func:`repr_text` of
+    ``x`` and ``y``.  The NUL padding is dropped and the frame written at once.
     """
-    matrices = {}  # per frame layout and width of the step, usually two for all frames
-    with open(out_path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
+    steps = _byte_rows([f"{step}," for step in range(len(frames))])
+    width = steps.shape[1]
+    matrices = {}  # per frame layout, usually one for all frames
+    with open(out_path, "wb") as fh:
+        fh.write(f"{CSV_HEADER}\n".encode())
         for step, frame in enumerate(frames):
             points = np.concatenate([pts for _, pts in frame] or [[]], dtype=complex)
             if not len(points):
                 continue
-            step_text = np.frombuffer(f"{step},".encode(), np.uint8)
-            key = (tuple((str(line_id), len(pts)) for line_id, pts in frame), len(step_text))
-            if key not in matrices:
-                matrices[key] = _csv_matrix(*key)
-            matrix = matrices[key]
+            layout = tuple((str(line_id), len(pts)) for line_id, pts in frame)
+            matrix = matrices.get(layout)
+            if matrix is None:
+                if any("\0" in line_id for line_id, _ in layout):
+                    raise ValueError(
+                        f"line ids must not contain NUL, got {[line_id for line_id, _ in layout]}")
+                prefix = _byte_rows([f"{line_id},{i}," for line_id, count in layout
+                                     for i in range(count)])
+                # the step, the prefix, 24 bytes of x, a comma, 24 of y, a newline
+                matrix = matrices[layout] = np.zeros((len(prefix), width + prefix.shape[1] + 50),
+                                                     np.uint8)
+                matrix[:, width:-50] = prefix
+                matrix[:, -26] = ord(",")
+                matrix[:, -1] = ord("\n")
             xy = repr_text(points.view(float))[0]
-            matrix[:, :len(step_text)] = step_text
+            matrix[:, :width] = steps[step]
             matrix[:, -50:-26] = xy[0::2]
             matrix[:, -25:-1] = xy[1::2]
-            fh.write(matrix.tobytes().translate(None, b"\0").decode())
-
-
-def _csv_matrix(layout, step_width):
-    """CSV rows for a frame of ``(line_id, point count)`` lines, padded with
-    NUL: ``step_width`` bytes for the step, ``line_id,point_index,``, 24
-    bytes for ``x``, a comma, 24 bytes for ``y`` and a newline."""
-    if any("\0" in line_id for line_id, _ in layout):
-        raise ValueError(f"line ids must not contain NUL, got {[line_id for line_id, _ in layout]}")
-    counts = np.array([count for _, count in layout])
-    ids = _byte_rows([f"{line_id}," for line_id, _ in layout])
-    indices = _byte_rows([f"{i}," for i in range(counts.max())])
-    starts = np.cumsum(counts) - counts
-    prefix = np.concatenate([np.repeat(ids, counts, 0),
-                             indices[np.arange(counts.sum()) - np.repeat(starts, counts)]], 1)
-    matrix = np.zeros((len(prefix), step_width + prefix.shape[1] + 50), np.uint8)
-    matrix[:, step_width:-50] = prefix
-    matrix[:, -26] = ord(",")
-    matrix[:, -1] = ord("\n")
-    return matrix
+            fh.write(matrix.tobytes().translate(None, b"\0"))
 
 
 def _byte_rows(texts):
@@ -297,7 +292,7 @@ def _byte_rows(texts):
     return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
-def write_frames_svg(frames, out_dir, size: int = 512):
+def write_frames_svg(frames, out_dir):
     """One ``frame_XXX.svg`` per step, polylines only, shared global viewBox.
 
     Returns the list of file names written.  The y axis is flipped so the
@@ -310,7 +305,7 @@ def write_frames_svg(frames, out_dir, size: int = 512):
         xy = np.concatenate([pts for _, pts in frame] or [[]], dtype=complex).view(float)
         extent = float(np.fmax.reduce(np.abs(xy), initial=extent))  # fmax skips NaN
     half = 1.05 * extent
-    header = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+    header = ('<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512" '
               f'viewBox="{-half:.6f} {-half:.6f} {2 * half:.6f} {2 * half:.6f}">')
     polyline = f'<polyline fill="none" stroke="black" stroke-width="{half / 256:.6f}" points="'
     names = []

@@ -1,10 +1,15 @@
 """Experiment configs and the command-line front-end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diskwarp
 from diskwarp import checks
 from diskwarp.cli import main, run_experiment, run_oracle
 from diskwarp.config import ExperimentConfig, load_config
@@ -142,6 +147,22 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert "converged" in out and "tiny" in out
 
     assert main(["solve", str(tmp_path / "does-not-exist.json")]) == 1
+
+
+def test_cli_solve_under_an_ascii_locale(tmp_path):
+    """A name the locale cannot encode: the report is UTF-8 and the summary
+    line escapes it, so the run still exits 0."""
+    config_path = write_config(tmp_path, name="café")
+    run_experiment(load_config(config_path), tmp_path / "in-process")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(diskwarp.__file__).parents[1])}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-m", "diskwarp.cli", "solve", str(config_path),
+                           "--output", str(tmp_path / "ascii")], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"caf\\xe9: converged")
+    assert ((tmp_path / "ascii" / "report.txt").read_bytes()
+            == (tmp_path / "in-process" / "report.txt").read_bytes())
 
 
 # names that are not a single plain path component; as the default output
@@ -355,8 +376,10 @@ def test_experiment_config_direct_validation():
     for target in ([[0, 1]], [[0, 10**400]], [1, [2, 3]], [1, [2, 10**400]]):
         with pytest.raises(ConfigValidationError, match="one-dimensional"):
             ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=target)
-    with pytest.raises(ConfigValidationError, match=r"target\[0\] must be a number"):
-        ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=["a", 1])
+    # text, bytes and bools are not numbers, as for alpha
+    for target in (["a", 1], "12", ["1", 2], [b"1", 2], [True, 1]):
+        with pytest.raises(ConfigValidationError, match=r"target\[0\] must be a number"):
+            ExperimentConfig(name="x", alpha=0.1, num_steps=4, degree_bound=4, target=target)
     # alpha is stored as a float, so an integer alpha reports as 100.0
     config = ExperimentConfig(name="x", alpha=100, num_steps=4, degree_bound=4, target=[0, 1])
     assert repr(config.alpha) == "100.0"

@@ -197,6 +197,19 @@ def _awkward_frames():
     ]
 
 
+def _changing_layouts():
+    """Twelve frames that alternate between two layouts, one with a line
+    without points, then an empty frame and the awkward frames, so steps
+    reach two digits while the layout changes."""
+    rng = np.random.default_rng(13)
+    frames = []
+    for step in range(12):
+        z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        frames.append([("a", z[:4]), ("b", z[4:])] if step % 2 else
+                      [("a", z[:2]), ("none", z[:0]), ("c", z[2:])])
+    return frames + [[]] + _awkward_frames()
+
+
 def test_awkward_frames_take_the_kernel_and_the_fallback():
     declined = [points_text([pts for _, pts in frame]) is None for frame in _awkward_frames()]
     assert declined == [False, True, False, False, False, True, True]
@@ -230,7 +243,8 @@ def test_csv_kernel_declines_few_values():
     _awkward_frames(),
     warp_frames(linear_path([1.0, -0.5j, 1.5 + 1e-9j]), circles=2, rays=3, samples=16),
     warp_frames(linear_path([0.5, 0.25j]), circles=2, rays=2, samples=8),  # extent stays 1
-], ids=["awkward", "warped", "inside"])
+    _changing_layouts(),
+], ids=["awkward", "warped", "inside", "changing-layouts"])
 def test_writers_match_per_point_reference(tmp_path, frames):
     new, ref = tmp_path / "new", tmp_path / "ref"
     new.mkdir(), ref.mkdir()
