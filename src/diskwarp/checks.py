@@ -9,6 +9,8 @@ functions with its own seeds, counts and tolerances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .action import DiscretePath, action_and_gradient, action_gradient, discrete_action
@@ -179,35 +181,67 @@ def _must_decline(x):
 def csv_format(rng, count):
     """Number of values whose :func:`repr_text` differs from ``repr``.
 
-    The values are ``count`` of each kind: magnitudes log-uniform from 1e-6
-    to 1e17 of both signs, random bit patterns, short decimals such as
-    ``float("0.125")``, and exact dyadic ties, where ``X = |x| * 10**j`` is
-    an odd multiple of 1/2 or of 5.  Then every power of two from 2**-20 to
-    2**60, where the rounding interval is asymmetric, and its neighbours,
-    the neighbours of 1e-4, 1e15 and 1e16, and the extremes +-0, 5e-324, the
-    largest double, NaN and +-inf.  All go through the kernel together, so
-    declined values sit among accepted ones.
+    The values are ``count`` of each kind: magnitudes log-uniform from the
+    least normal double, about 2.2e-308, to 1e17 of both signs, random bit
+    patterns, short decimals such as ``float("0.125")``, single-digit
+    mantissas such as ``5e-100``, exact dyadic ties, where ``X = |x| *
+    10**j`` is an odd multiple of 1/2 or of 5, and values below 1e-4 whose
+    ``X`` lies within about ``2**-53`` of an integer or a half-integer.
+    Then every power of two from the least normal double to 2**60, where the
+    rounding interval is asymmetric, and its neighbours, ``10**-k`` for k =
+    5..307 and their neighbours, the neighbours of 1e-4, 1e15, 1e16 and the
+    least normal double, and the extremes +-0, 5e-324, the largest double,
+    NaN and +-inf.  All go through the kernel together, so declined values
+    sit among accepted ones.
     """
-    signs = rng.choice([-1.0, 1.0], (3, count))
-    j = rng.integers(2, 21, count)
+    signs = rng.choice([-1.0, 1.0], (5, count))
+    least = np.finfo(float).tiny
+    j = rng.integers(2, 25, count)
     halves = rng.integers(0, 2, count)
     odd = rng.uniform(10.0 ** (16 - j), 10.0 ** (17 - j)) * 2.0 ** (j + halves) // 2 * 2 + 1
-    powers = np.ldexp(1.0, np.arange(-20, 61))
-    edges = np.array([1e-4, 1e15, 1e16])
+    powers = np.ldexp(1.0, np.arange(-1022, 61))
+    edges = np.array([1e-4, 1e15, 1e16, least] + [float(f"1e-{k}") for k in range(5, 308)])
     edges = np.concatenate([edges, powers, np.nextafter(edges, 0), np.nextafter(powers, 0),
                             np.nextafter(edges, np.inf), np.nextafter(powers, np.inf)])
     short = signs[1] * 10.0 ** rng.uniform(-5, 16, count)
     values = np.concatenate([
-        signs[0] * 10.0 ** rng.uniform(-6, 17, count),
+        signs[0] * 10.0 ** rng.uniform(np.log10(least), 17, count),
         rng.integers(0, 2**64, count, dtype=np.uint64).view(float),
         [float(f"{x:.{digits}e}") for x, digits in zip(short, rng.integers(0, 16, count))],
+        signs[3] * [float(f"{d}e-{k}") for d, k in zip(rng.integers(1, 10, count),
+                                                        rng.integers(5, 308, count))],
         signs[2] * np.ldexp(odd, -(j + halves)),
+        signs[4] * _near_ties(rng, count),
         edges, np.negative(edges),
         [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
          np.nan, np.inf, -np.inf],
     ])
     return sum(text.tobytes().replace(b"\0", b"").decode() != repr(x)
                for text, x in zip(repr_text(values)[0], values.tolist()))
+
+
+def _near_ties(rng, count):
+    """``count`` doubles ``x = q * 2**(E - 1075)`` below 1e-4 whose ``X =
+    |x| * 10**j`` lies within about ``2**-53`` of an integer or a
+    half-integer, closer than :func:`repr_text`'s error bound there: ``q`` is
+    a denominator in ``[2**52, 2**53)`` of a continued-fraction convergent
+    ``p / q`` of ``2 * 10**j * 2**(E - 1075)``, so ``|2X - p| < 1 / q``.  The
+    fraction is cut to 128 bits after the point, far finer than such
+    convergents resolve."""
+    values = []
+    while len(values) < count:
+        e = int(rng.integers(1, 1010))
+        j = 16 - math.floor((e - 1022.5) * math.log10(2))
+        num, den = 2 * 10**j, 2**(1075 - e)
+        if e < 947:
+            num, den = num >> (947 - e), 2**128
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while den and q1 < 2**53:
+            if q1 >= 2**52 and 2 * 10**16 <= p1 < 2 * 10**17:
+                values.append(math.ldexp(q1, e - 1075))
+            a, num, den = num // den, den, num % den
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return np.array(values[:count])
 
 
 # (name, check, arguments after ``rng``, tolerance on the worst error)

@@ -20,6 +20,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -50,12 +51,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     Returns ``(result, out_dir, elapsed_seconds)``.  Nothing is written when
     the solver fails, so output directories never hold partial frames.
     """
+    out_dir = _output_dir(output_dir or config.output or f"out/{config.name}")
     t0 = time.perf_counter()
     result = solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps,
                                 alpha=config.alpha), config.target)
     elapsed = time.perf_counter() - t0
 
-    out_dir = Path(output_dir or config.output or f"out/{config.name}")
     _write_run(config, result.path, out_dir, "solve", [
         f"converged: {str(result.converged).lower()}",
         f"iterations: {result.iterations}",
@@ -76,6 +77,7 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
             f"oracle needs a linear target (only the z coefficient nonzero), "
             f"got {target.tolist()}"
         )
+    out_dir = _output_dir(output_dir or config.output or f"out/{config.name}-oracle")
     c1 = complex(target[1])
     ts = np.linspace(0.0, 1.0, config.num_steps + 1)
     coeffs = closed_form(1.0 + 0j, c1, config.alpha, ts)
@@ -83,12 +85,23 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
     steps[:, 1] = coeffs
     path = DiscretePath(steps)
 
-    out_dir = Path(output_dir or config.output or f"out/{config.name}-oracle")
     _write_run(config, path, out_dir, "oracle", [
         f"coefficients: {_pairs(coeffs)}",
         f"action: {discrete_action(path, config.alpha)!r}",
     ])
     return path, out_dir
+
+
+def _output_dir(path) -> Path:
+    """``path`` as a Path; ConfigValidationError if the filesystem encoding
+    cannot encode it, so that a run fails before its compute."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigValidationError(
+            f"output directory {str(path)!r} cannot be encoded in the filesystem "
+            f"encoding {sys.getfilesystemencoding()!r}") from None
+    return Path(path)
 
 
 def _pairs(values) -> str:
@@ -202,7 +215,7 @@ def main(argv=None) -> int:
                 raise ConfigValidationError(
                     f"--alpha: values in {args.alpha} that agree to 6 digits share a directory"
                 )
-            base = Path(args.output or config.output or f"out/{config.name}")
+            base = _output_dir(args.output or config.output or f"out/{config.name}")
             status = 0
             for dir_name, variant in variants.items():
                 alpha = variant.alpha

@@ -15,9 +15,10 @@ polyline instead.  A CSV frame's rows are three byte tables side by side:
 ``step,`` from a table of every step, built once per file; the
 ``line_id,point_index,`` text of each row, built once per frame layout; and
 the coordinates from :func:`repr_text`, which gives the bytes of ``repr``,
-the shortest decimal that reads back to the same double, by exact
-arithmetic on each value's rounding interval; a value it declines (out of
-its range, or a possible tie) gets ``repr`` one at a time.
+the shortest decimal that reads back to the same double, by integer
+arithmetic on each value's rounding interval, positional from 1e-4 and in
+exponent form below; a value it declines (subnormal, from 1e15 in
+magnitude, not finite, or a possible tie) gets ``repr`` one at a time.
 """
 
 from __future__ import annotations
@@ -116,13 +117,35 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _POW10 = 10.0 ** np.arange(21)
 _POW10_HIGH = _POW10 * _SPLIT
 _POW10_HIGH -= _POW10_HIGH - _POW10
-# Per biased exponent E of |x| in [2**-14, 2**50): j = 16 - floor(log10(2**(E -
-# 1023))), and the least double >= 10**(17 - j), from which on j is one less
-# (the double nearest 10**-m, m = 1..4, lies above it).
-_EXPONENT0 = 1009
-_DECADE = np.floor((np.arange(_EXPONENT0, 1073) - 1023) * np.log10(2.0)).astype(np.int64)
-_J = 16 - _DECADE
-_NEXT_DECADE = np.array([float(f"1e{decade + 1}") for decade in _DECADE])
+# Per biased exponent E of |x| in [2**-1022, 2**50): j = 16 - floor(log10(2**(E
+# - 1023))), and the double nearest 10**(17 - j), from which on j is one less.
+# Where that double lies below 10**(17 - j), its X lies just below 1e16 and its
+# digits are still a one and sixteen zeros.
+_J = 16 - np.floor((np.arange(1073) - 1023) * np.log10(2.0)).astype(np.int64)
+_NEXT_DECADE = np.array([float(f"1e{decade}") for decade in range(-307, 17)]).take(324 - _J)
+
+
+def _scaled_powers():
+    """For the exponent form, E <= 1009 and 20 <= j <= 324: T = 10**j * 2**(E
+    - 1023), which lies in (5e15, 1e17), as a double-double ``high + low`` by
+    index 2 * E + (j is one less).  From 10**j cut to 120 bits, m * 2**(bits -
+    120), by exact powers of two; ``high + low`` is within 2**-50 of T."""
+    cut = []
+    power = 10**19
+    for _ in range(20, 325):
+        power *= 10
+        bits = power.bit_length()
+        m = (power << 120) >> bits
+        cut.append((float(m), float(m - int(float(m))), bits - 120))
+    high, low, shift = np.array(cut).T
+    index = np.stack([_J[:1010], _J[:1010] - 1], 1) - 20
+    shift = shift.astype(np.int64).take(index) + np.arange(-1023, -13)[:, None]
+    return np.ldexp(high.take(index), shift).ravel(), np.ldexp(low.take(index), shift).ravel()
+
+
+_T_HIGH, _T_LOW = _scaled_powers()
+_T_SPLIT = _T_HIGH * _SPLIT
+_T_SPLIT -= _T_SPLIT - _T_HIGH
 # A row of text is 24 bytes: a spare NUL, the sign, "0.", "0.0", "0.00" or
 # "0.000" for |x| < 1, the first digit, then 16 digits in four words of four.
 # It is handled as three little-endian words, whose shifts move bytes.
@@ -149,6 +172,13 @@ _UNITS = np.where((_BYTE >= 7) & (_BYTE <= 24 - np.arange(17)[:, None]), ord("0"
 _UNITS = _UNITS.astype(np.uint8).view(_U64LE)
 _BELOW = np.where(_BYTE < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8).view(_U64LE)
 _POINT = np.where(_BYTE == np.arange(-1, 24)[:, None], ord("."), 0).astype(np.uint8).view(_U64LE)
+# An exponent-form row is the sign, the first digit, "." unless the other 16
+# digits are all zeros, those digits, and "e-dd" or "e-ddd" in bytes 19-23:
+# bytes 0-2 by (sign, first digit, "."), and bytes 16-23 of the exponent's text
+_EXPONENT_HEAD = np.array([bytes([sign, ord("0") + first, point]).ljust(8, b"\0")
+                           for sign in (0, ord("-")) for first in range(10)
+                           for point in (0, ord("."))]).view(_U64LE)
+_EXPONENT_TAIL = np.array([(b"e-%02d" % m).rjust(8, b"\0") for m in range(309)]).view(_U64LE)
 
 
 def repr_text(values):
@@ -158,32 +188,30 @@ def repr_text(values):
 
     ``repr`` writes the shortest decimal that reads back to the same double,
     the nearest to it among the shortest (Steele & White; Gay), positional
-    for ``1e-4 <= |x| < 1e16``.  The kernel covers zeros and finite ``1e-4
-    <= |x| < 1e15`` and finds the digits as Ryu does (Adams, PLDI 2018),
-    with integer arithmetic on the rounding interval.  With ``j = 16 -
-    floor(log10|x|)``, at most 20 so that ``10**j`` is an exact double,
-    ``X = |x| * 10**j`` lies in ``[1e16, 1e17)`` and is formed exactly as
-    ``hi + lo`` by Dekker's product with Veltkamp's split, since numpy has
-    no fused multiply-add.  The digits are those of the multiple of the
-    largest ``10**k`` that reads back to ``x``, the nearest to ``X`` if
-    several do.  The kernel declines a value out of its range, such as
-    round-off near ``1e-17`` that ``repr`` writes with an exponent, and one
-    whose two nearest candidates may tie, such as ``2.51564788818359375``.
+    for ``1e-4 <= |x| < 1e16`` and as ``d.ddde-XX`` below.  The kernel
+    covers zeros and finite normal ``|x| < 1e15`` and finds the digits as
+    Ryu does (Adams, PLDI 2018), with integer arithmetic on the rounding
+    interval.  With ``j = 16 - floor(log10|x|)``, ``X = |x| * 10**j`` lies in
+    ``[1e16, 1e17)``.  For ``|x| >= 1e-4``, ``j <= 20``, so ``10**j`` is an
+    exact double and ``X`` is formed exactly as ``hi + lo`` by Dekker's
+    product with Veltkamp's split, since numpy has no fused multiply-add.
+    Below, ``10**j`` times a power of two is a double-double (Dekker), and
+    ``hi + lo`` is within ``2**-47`` of ``X``.  The digits are those of the
+    multiple of the largest ``10**k`` that reads back to ``x``, the nearest
+    to ``X`` if several do.  The kernel declines a value out of its range
+    (subnormal, from 1e15 in magnitude, or not finite), one whose two
+    nearest candidates may tie, such as ``2.51564788818359375``, and, below
+    1e-4, a power of two or a value with a rounding decision within that
+    error bound.
     """
     v = np.ravel(np.asarray(values, dtype=float))
     mag = np.abs(v)
     covered = (mag >= 1e-4) & (mag < 1e15)
     x = np.where(covered, mag, 0.30000000000000004)  # a placeholder of 17 digits
     exponent = x.view(np.int64) >> 52
-    j = _J.take(exponent - _EXPONENT0) - (x >= _NEXT_DECADE.take(exponent - _EXPONENT0))
+    j = _J.take(exponent) - (x >= _NEXT_DECADE.take(exponent))
     scale = _POW10.take(j)
-    scale_high = _POW10_HIGH.take(j)
-    scale_low = scale - scale_high
-    hi = x * scale
-    split = x * _SPLIT
-    x_high = split - (split - x)
-    x_low = x - x_high
-    lo = ((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
+    hi, lo = _two_product(x, scale, _POW10_HIGH.take(j))
     # The doubles that read back to x = f * 2**(e - 53) lie within X +- h,
     # h = 2**(e - 54) * 10**j: a power of two times 10**j, so exact.  Neither
     # end is an integer, since X +- h = (2f +- 1) * 5**j * 2**(e + j - 54) and
@@ -191,40 +219,18 @@ def repr_text(values):
     # 2**-47 below 32.  (Below a power of two the gap is h / 2, which for the
     # powers of two in range changes no digits; csv_format checks them all.)
     h = ((exponent - 53) << 52).view(float) * scale
-    floor_lo = np.floor(lo)
-    whole = hi.astype(np.int64)  # hi >= 1e16 > 2**53 is an integer
-    nearest = whole + floor_lo.astype(np.int64)  # floor(X)
-    frac = lo - floor_lo
-    tens_lower = (whole + np.floor(lo - h).astype(np.int64)) // 10
-    tens_upper = (whole + np.floor(lo + h).astype(np.int64)) // 10
-    # The digits are those of the candidate with the most trailing zeros k:
-    # k = 0, the integer nearest X, or k = 1, the multiple of 10 nearest X
-    # (h > 0.55 and the interval is symmetric, so both lie in it if any
-    # integer or multiple of 10 does); k >= 2, the only multiple of 100 in
-    # it, as 2h < 22.3.  X at n + 1/2, or at 10n + 5 with a multiple of 10 in
-    # the interval, may be halfway between two candidates and is declined.
-    has_ten = tens_upper > tens_lower
-    tens = (nearest + 5) // 10
-    digits = np.where(has_ten, 10 * tens, nearest + (frac > 0.5))
-    declined = ~covered | np.where(has_ten, (frac == 0) & (10 * tens == nearest + 5), frac == 0.5)
-    hundreds = np.flatnonzero(tens_upper // 10 > tens_lower // 10)
-    digits[hundreds] = (tens_lower[hundreds] // 10 + 1) * 100
-    # the first digit, then four words of four digits, in which the zeros
-    # after the last nonzero digit are NUL
-    top = digits // 10**8
-    first = top // 10**8
-    high = top - first * 10**8
-    low = digits - top * 10**8
-    q0, q2 = high // 10**4, low // 10**4
-    q1, q3 = high - q0 * 10**4, low - q2 * 10**4
+    # the values the positional form leaves out take the exponent form's X,
+    # in a pass over them alone
+    small = np.flatnonzero((mag < 1e-4) & (mag >= np.finfo(float).tiny))
+    if small.size:
+        j_small, hi[small], lo[small], h[small], unsure = _exponent_scale(v[small])
+    digits, tie = _shortest(hi, lo, h)
+    declined = tie | ~covered
+    first, quads = _digit_words(digits)
     text = np.empty((len(v), 3), _U64LE)
     sign = np.signbit(v)
     text[:, 0] = _HEAD.take(sign * 210 + 10 * j + first)
-    words = text.view(np.uint32)
-    words[:, 2] = _QUADS.take(q0 + 10000 * ((low == 0) & (q1 == 0)))
-    words[:, 3] = _QUADS.take(q1 + 10000 * (low == 0))
-    words[:, 4] = _QUADS.take(q2 + 10000 * (q3 == 0))
-    words[:, 5] = _QUADS.take(q3 + 10000)
+    text.view(np.uint32)[:, 2:] = quads
     ones = np.flatnonzero(j <= 16)
     if ones.size:
         # keep the zeros of the integer part and of the first decimal, and move
@@ -236,6 +242,9 @@ def repr_text(values):
         rows |= _POINT[at] | (before >> np.uint64(8))
         rows[:, :2] |= before[:, 1:] << np.uint64(56)
         text[ones] = rows
+    if small.size:
+        text[small] = _exponent_rows(sign[small], first[small], quads[small], j_small)
+        declined[small] = tie[small] | unsure
     zeros = np.flatnonzero(mag == 0)
     text[zeros] = _ZERO[sign[zeros].view(np.uint8)]
     declined[zeros] = False
@@ -243,6 +252,95 @@ def repr_text(values):
         text[declined] = np.array(list(map(repr, v[declined].tolist())),
                                   "S24").view(_U64LE).reshape(-1, 3)
     return text.view(np.uint8), declined
+
+
+def _exponent_scale(v):
+    """For finite normal values below 1e-4 in magnitude: their ``j``, ``X``
+    as ``hi + lo``, ``h``, and a mask of the values with a rounding decision
+    too close to tell."""
+    bits = v.view(np.int64)
+    exponent = (bits >> 52) & 0x7FF
+    # |v| * 2**(1023 - E), in [1, 2); X = x * T
+    x = ((bits & 0xFFFFFFFFFFFFF) | 0x3FF0000000000000).view(float)
+    less = np.abs(v) >= _NEXT_DECADE.take(exponent)
+    index = 2 * exponent + less
+    scale = _T_HIGH.take(index)
+    hi, lo = _two_product(x, scale, _T_SPLIT.take(index))
+    lo += x * _T_LOW.take(index)
+    # hi + lo misses X by x times T's error (2**-49) and the roundings of x *
+    # T_LOW (2**-50) and of the sum into lo (2**-49), 5 * 2**-50 in all; lo +-
+    # h misses X +- h, h = 2**-53 * T, by another 2**-50 in h and 2**-48 in
+    # the sum, 10 * 2**-50 in all.  A decision closer than 2**-46 is left to repr.
+    h = scale * 2.0**-53
+    bounds = np.stack([lo, lo - h, lo + h, lo - 0.5])
+    unsure = np.any(np.abs(bounds - np.rint(bounds)) < 2.0**-46, 0)
+    # below a power of two the gap is h / 2, which here changes some digits
+    unsure |= x == 1
+    return _J.take(exponent) - less, hi, lo, h, unsure
+
+
+def _exponent_rows(negative, first, quads, j):
+    """Rows of ``repr``'s exponent form ``-d.ddde-XX``, from the sign, the
+    first digit and the four words of the other 16 digits."""
+    words = quads.view(_U64LE)
+    rows = np.empty((len(first), 3), _U64LE)
+    rows[:, 0] = (_EXPONENT_HEAD.take(20 * negative + 2 * first + (quads[:, 0] > 0))
+                  | words[:, 0] << np.uint64(24))
+    rows[:, 1] = words[:, 0] >> np.uint64(40) | words[:, 1] << np.uint64(24)
+    rows[:, 2] = words[:, 1] >> np.uint64(40) | _EXPONENT_TAIL.take(j - 16)
+    return rows
+
+
+def _two_product(x, scale, scale_high):
+    """``hi + lo = x * scale`` exactly, given the high part of ``scale``'s
+    Veltkamp split (Dekker's product)."""
+    hi = x * scale
+    split = x * _SPLIT
+    x_high = split - (split - x)
+    x_low = x - x_high
+    scale_low = scale - scale_high
+    lo = ((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
+    return hi, lo
+
+
+def _shortest(hi, lo, h):
+    """The 17 digits of ``repr`` for ``X = hi + lo``, ``hi`` an integer, whose
+    rounding interval is ``X +- h`` with ``h`` in ``(0.55, 11.1)``, and a mask
+    of the values where two candidates may tie."""
+    floor_lo = np.floor(lo)
+    whole = hi.astype(np.int64)  # hi >= 1e16 > 2**53 is an integer
+    nearest = whole + floor_lo.astype(np.int64)  # floor(X)
+    frac = lo - floor_lo
+    tens_lower = (whole + np.floor(lo - h).astype(np.int64)) // 10
+    tens_upper = (whole + np.floor(lo + h).astype(np.int64)) // 10
+    # The digits are those of the candidate with the most trailing zeros k:
+    # k = 0, the integer nearest X, or k = 1, the multiple of 10 nearest X
+    # (h > 0.55 and the interval is symmetric, so both lie in it if any
+    # integer or multiple of 10 does); k >= 2, the only multiple of 100 in
+    # it, as 2h < 22.3.  X at n + 1/2, or at 10n + 5 with a multiple of 10 in
+    # the interval, may be halfway between two candidates.
+    has_ten = tens_upper > tens_lower
+    tens = (nearest + 5) // 10
+    digits = np.where(has_ten, 10 * tens, nearest + (frac > 0.5))
+    tie = np.where(has_ten, (frac == 0) & (10 * tens == nearest + 5), frac == 0.5)
+    hundreds = np.flatnonzero(tens_upper // 10 > tens_lower // 10)
+    digits[hundreds] = (tens_lower[hundreds] // 10 + 1) * 100
+    return digits, tie
+
+
+def _digit_words(digits):
+    """The first of 17 digits, and the other 16 as four words of four bytes
+    in which the zeros after the last nonzero digit are NUL."""
+    top = digits // 10**8
+    first = top // 10**8
+    high = top - first * 10**8
+    low = digits - top * 10**8
+    q0, q2 = high // 10**4, low // 10**4
+    q1, q3 = high - q0 * 10**4, low - q2 * 10**4
+    return first, np.stack([_QUADS.take(q0 + 10000 * ((low == 0) & (q1 == 0))),
+                            _QUADS.take(q1 + 10000 * (low == 0)),
+                            _QUADS.take(q2 + 10000 * (q3 == 0)),
+                            _QUADS.take(q3 + 10000)], 1)
 
 
 def write_frames_csv(frames, out_path):

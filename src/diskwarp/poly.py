@@ -124,6 +124,12 @@ def evaluate(p, z):
     c = np.asarray(p, dtype=complex)
     z = np.asarray(z, dtype=complex)
     rows = c.shape[:-1]
+    # Trailing coefficients that are +0 (by sign bit, never -0.0) in every row
+    # are dropped but one: each Horner step from +0 gives +0 again, since
+    # +-0 * z + (+0) is +0 for finite z.
+    plus_zero = (c == 0) & ~np.signbit(c.real) & ~np.signbit(c.imag)
+    live = np.flatnonzero(~plus_zero.all(axis=tuple(range(c.ndim - 1))))
+    c = c[..., :live[-1] + 2 if live.size else 1]
     # coefficient k of every row, shaped to broadcast against the output
     c = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + rows + (1,) * z.ndim)
     out = np.zeros(rows + z.shape, dtype=complex)

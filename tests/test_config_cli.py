@@ -149,20 +149,42 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "does-not-exist.json")]) == 1
 
 
+def _run_under_an_ascii_locale(args, cwd=None):
+    """``python -m diskwarp.cli`` with ASCII as the locale's and the
+    filesystem's encoding."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(diskwarp.__file__).parents[1])}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "diskwarp.cli", *args], cwd=cwd, env=env,
+                          capture_output=True)
+
+
 def test_cli_solve_under_an_ascii_locale(tmp_path):
     """A name the locale cannot encode: the report is UTF-8 and the summary
     line escapes it, so the run still exits 0."""
     config_path = write_config(tmp_path, name="café")
     run_experiment(load_config(config_path), tmp_path / "in-process")
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-           "PYTHONPATH": str(Path(diskwarp.__file__).parents[1])}
-    env.pop("PYTHONIOENCODING", None)
-    proc = subprocess.run([sys.executable, "-m", "diskwarp.cli", "solve", str(config_path),
-                           "--output", str(tmp_path / "ascii")], env=env, capture_output=True)
+    proc = _run_under_an_ascii_locale(["solve", str(config_path),
+                                       "--output", str(tmp_path / "ascii")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(b"caf\\xe9: converged")
     assert ((tmp_path / "ascii" / "report.txt").read_bytes()
             == (tmp_path / "in-process" / "report.txt").read_bytes())
+
+
+def test_cli_unencodable_output_directory_is_a_config_error(tmp_path):
+    """Under an ASCII filesystem encoding the default directory out/café
+    cannot be made: every verb exits 1 with a config error naming it, before
+    the solve or the closed form, and writes nothing."""
+    config_path = write_config(tmp_path, name="café")
+    work = tmp_path / "work"
+    work.mkdir()
+    for args in (["solve"], ["oracle"], ["sweep", "--alpha", "0.1,1"]):
+        proc = _run_under_an_ascii_locale([*args, str(config_path)], cwd=work)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(b"config error: output directory 'out/caf\\xe9"), proc.stderr
+        assert proc.stdout == b""
+    assert list(work.iterdir()) == []
 
 
 # names that are not a single plain path component; as the default output

@@ -5,6 +5,8 @@ import pytest
 
 from diskwarp import checks
 from diskwarp.action import DiscretePath
+from diskwarp.cli import run_oracle
+from diskwarp.config import load_config
 from diskwarp.frames import (CSV_HEADER, disk_mesh, points_text, repr_text, warp_frames,
                              write_frames_csv, write_frames_svg)
 
@@ -232,11 +234,24 @@ def test_csv_coordinate_kernel_matches_repr():
 
 
 def test_csv_kernel_declines_few_values():
-    """Declining every value would pass the format check with ``repr`` alone."""
-    values = np.random.default_rng(3).standard_normal(100_000)
+    """Declining every value would pass the format check with ``repr`` alone.
+    The values include round-off near 1e-17, which ``repr`` writes with an
+    exponent."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(100_000) * np.repeat([1.0, 1e-17], 50_000)
     text, declined = repr_text(values)
     assert np.count_nonzero(declined) < 1000
     assert text.tobytes().replace(b"\0", b"").decode() == "".join(map(repr, values.tolist()))
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1b", "example2a", "example2b"])
+def test_csv_kernel_declines_no_oracle_coordinate(tmp_path, config_dir, name):
+    """The exact linear geodesics' frames, round-off included, take no
+    ``repr`` of their own."""
+    config = load_config(config_dir / f"{name}.json")
+    path, _ = run_oracle(config, tmp_path)
+    for frame in warp_frames(path, config.mesh_circles, config.mesh_rays):
+        assert not repr_text(np.concatenate([pts for _, pts in frame]).view(float))[1].any()
 
 
 @pytest.mark.parametrize("frames", [

@@ -155,3 +155,34 @@ def test_evaluate_horner():
     z = np.array([0.0, 1.0, 0.5 - 0.5j])
     expected = 1.0 - 2.0 * z + 0.5j * z * z
     assert np.allclose(evaluate(p, z), expected)
+
+
+def _plain_horner(c, z):
+    out = np.empty(c.shape[:-1] + z.shape, dtype=complex)
+    for row in np.ndindex(c.shape[:-1]):
+        value = np.full(z.shape, c[row][-1])
+        for coefficient in c[row][-2::-1]:
+            value = value * z + coefficient
+        out[row] = value
+    return out
+
+
+@pytest.mark.parametrize("trailing", ["+0", "-0 real", "-0 imaginary", "all zero"])
+def test_evaluate_bitwise_plain_horner_with_zero_columns(trailing):
+    """Dropped +0 columns leave every bit as a Horner loop over all of them,
+    also on a strided coefficient array.  A row of signed zeros keeps the
+    sign of its zero to the end, so a -0.0 column must never be dropped."""
+    rng = np.random.default_rng(7)
+    c = np.zeros((4, 3, 18), dtype=complex)[..., ::2]  # not contiguous
+    c[..., :5] = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    c[1, 2] = 0.0  # an all-zero row
+    c[2, 0, :5] = complex(-0.0, -0.0)
+    if trailing == "-0 real":
+        c[2, 0, 5] = complex(-0.0, 0.0)
+    elif trailing == "-0 imaginary":
+        c[2, 0, 5] = complex(0.0, -0.0)
+    elif trailing == "all zero":
+        c[...] = 0.0
+    z = np.concatenate([rng.standard_normal(40) + 1j * rng.standard_normal(40),
+                        [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -1.0, -1j]])
+    assert evaluate(c, z).tobytes() == _plain_horner(c, z).tobytes()
