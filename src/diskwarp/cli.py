@@ -94,14 +94,20 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
 
 def _output_dir(path) -> Path:
     """``path`` as a Path; ConfigValidationError if the filesystem encoding
-    cannot encode it, so that a run fails before its compute."""
+    cannot encode it or if it or a parent is a file other than a directory,
+    so that a run fails before its compute."""
     try:
         os.fsencode(path)
     except UnicodeEncodeError:
         raise ConfigValidationError(
             f"output directory {str(path)!r} cannot be encoded in the filesystem "
             f"encoding {sys.getfilesystemencoding()!r}") from None
-    return Path(path)
+    path = Path(path)
+    for parent in (path, *path.parents):
+        if parent.exists() and not parent.is_dir():
+            raise ConfigValidationError(
+                f"output directory {str(path)!r} cannot be made: {str(parent)!r} is not a directory")
+    return path
 
 
 def _pairs(values) -> str:
@@ -175,7 +181,8 @@ def main(argv=None) -> int:
 
     # a config name the locale cannot encode must not fail a finished run
     for stream in (sys.stdout, sys.stderr):
-        stream.reconfigure(errors="backslashreplace")
+        if hasattr(stream, "reconfigure"):  # not, say, an io.StringIO
+            stream.reconfigure(errors="backslashreplace")
     args = parser.parse_args(argv)
     try:
         if args.verb == "solve":

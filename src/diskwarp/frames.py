@@ -17,8 +17,10 @@ polyline instead.  A CSV frame's rows are three byte tables side by side:
 the coordinates from :func:`repr_text`, which gives the bytes of ``repr``,
 the shortest decimal that reads back to the same double, by integer
 arithmetic on each value's rounding interval, positional from 1e-4 and in
-exponent form below; a value it declines (subnormal, from 1e15 in
-magnitude, not finite, or a possible tie) gets ``repr`` one at a time.
+exponent form below.  It scales every value by a power of ten from one
+table by binary exponent, exact from 1e-4 up.  A value it declines
+(subnormal, from 1e15 in magnitude, not finite, or a possible tie) gets
+``repr`` one at a time.
 """
 
 from __future__ import annotations
@@ -112,38 +114,35 @@ def points_text(lines):
     return [next(texts) if count else "" for count in counts]
 
 
-# repr_text's tables.  10**j and its Veltkamp split for j <= 20, all exact.
-_SPLIT = 134217729.0  # 2**27 + 1
-_POW10 = 10.0 ** np.arange(21)
-_POW10_HIGH = _POW10 * _SPLIT
-_POW10_HIGH -= _POW10_HIGH - _POW10
-# Per biased exponent E of |x| in [2**-1022, 2**50): j = 16 - floor(log10(2**(E
-# - 1023))), and the double nearest 10**(17 - j), from which on j is one less.
-# Where that double lies below 10**(17 - j), its X lies just below 1e16 and its
-# digits are still a one and sixteen zeros.
+# repr_text's tables.  Per biased exponent E of |x| in [2**-1022, 2**50): j =
+# 16 - floor(log10(2**(E - 1023))), and the double nearest 10**(17 - j), from
+# which on j is one less.  Where that double lies below 10**(17 - j), its X lies
+# just below 1e16 and its digits are still a one and sixteen zeros.
 _J = 16 - np.floor((np.arange(1073) - 1023) * np.log10(2.0)).astype(np.int64)
 _NEXT_DECADE = np.array([float(f"1e{decade}") for decade in range(-307, 17)]).take(324 - _J)
 
 
 def _scaled_powers():
-    """For the exponent form, E <= 1009 and 20 <= j <= 324: T = 10**j * 2**(E
-    - 1023), which lies in (5e15, 1e17), as a double-double ``high + low`` by
-    index 2 * E + (j is one less).  From 10**j cut to 120 bits, m * 2**(bits -
-    120), by exact powers of two; ``high + low`` is within 2**-50 of T."""
+    """For E < 1073 and 1 <= j <= 324: T = 10**j * 2**(E - 1023), which lies in
+    (5e15, 1e17), as a double-double ``high + low`` by index 2 * E + (j is one
+    less).  From 10**j cut to 120 bits, m * 2**(bits - 120), by exact powers of
+    two; ``high + low`` is within 2**-50 of T, and is T with ``low`` zero for j
+    <= 22, where 10**j = 5**j * 2**j is a double."""
     cut = []
-    power = 10**19
-    for _ in range(20, 325):
+    power = 1
+    for _ in range(324):
         power *= 10
         bits = power.bit_length()
         m = (power << 120) >> bits
         cut.append((float(m), float(m - int(float(m))), bits - 120))
     high, low, shift = np.array(cut).T
-    index = np.stack([_J[:1010], _J[:1010] - 1], 1) - 20
-    shift = shift.astype(np.int64).take(index) + np.arange(-1023, -13)[:, None]
+    index = np.stack([_J, _J - 1], 1) - 1
+    shift = shift.astype(np.int64).take(index) + np.arange(-1023, 50)[:, None]
     return np.ldexp(high.take(index), shift).ravel(), np.ldexp(low.take(index), shift).ravel()
 
 
 _T_HIGH, _T_LOW = _scaled_powers()
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's
 _T_SPLIT = _T_HIGH * _SPLIT
 _T_SPLIT -= _T_SPLIT - _T_HIGH
 # A row of text is 24 bytes: a spare NUL, the sign, "0.", "0.0", "0.00" or
@@ -192,13 +191,14 @@ def repr_text(values):
     covers zeros and finite normal ``|x| < 1e15`` and finds the digits as
     Ryu does (Adams, PLDI 2018), with integer arithmetic on the rounding
     interval.  With ``j = 16 - floor(log10|x|)``, ``X = |x| * 10**j`` lies in
-    ``[1e16, 1e17)``.  For ``|x| >= 1e-4``, ``j <= 20``, so ``10**j`` is an
-    exact double and ``X`` is formed exactly as ``hi + lo`` by Dekker's
-    product with Veltkamp's split, since numpy has no fused multiply-add.
-    Below, ``10**j`` times a power of two is a double-double (Dekker), and
-    ``hi + lo`` is within ``2**-47`` of ``X``.  The digits are those of the
-    multiple of the largest ``10**k`` that reads back to ``x``, the nearest
-    to ``X`` if several do.  The kernel declines a value out of its range
+    ``[1e16, 1e17)``.  :func:`_scale` forms it as ``hi + lo`` for every
+    value, from a table by binary exponent of ``10**j`` times a power of two
+    as a double-double, by Dekker's product with Veltkamp's split, since
+    numpy has no fused multiply-add.  For ``|x| >= 1e-4``, ``j <= 20``, so
+    the table's entry is exact and so is ``hi + lo``; below, ``hi + lo`` is
+    within ``2**-47`` of ``X``.  The digits are those of the multiple of the
+    largest ``10**k`` that reads back to ``x``, the nearest to ``X`` if
+    several do.  The kernel declines a value out of its range
     (subnormal, from 1e15 in magnitude, or not finite), one whose two
     nearest candidates may tie, such as ``2.51564788818359375``, and, below
     1e-4, a power of two or a value with a rounding decision within that
@@ -206,30 +206,21 @@ def repr_text(values):
     """
     v = np.ravel(np.asarray(values, dtype=float))
     mag = np.abs(v)
-    covered = (mag >= 1e-4) & (mag < 1e15)
-    x = np.where(covered, mag, 0.30000000000000004)  # a placeholder of 17 digits
-    exponent = x.view(np.int64) >> 52
-    j = _J.take(exponent) - (x >= _NEXT_DECADE.take(exponent))
-    scale = _POW10.take(j)
-    hi, lo = _two_product(x, scale, _POW10_HIGH.take(j))
-    # The doubles that read back to x = f * 2**(e - 53) lie within X +- h,
-    # h = 2**(e - 54) * 10**j: a power of two times 10**j, so exact.  Neither
-    # end is an integer, since X +- h = (2f +- 1) * 5**j * 2**(e + j - 54) and
-    # X < 1e17 makes e + j <= 52; and lo +- h is exact, as a multiple of
+    covered = (mag >= np.finfo(float).tiny) & (mag < 1e15)
+    j, hi, lo, h = _scale(np.where(covered, mag, 0.30000000000000004))  # 17 digits
+    # The doubles that read back to x = f * 2**(e - 53) lie within X +- h.  From
+    # 1e-4 up, j <= 20, so T is exact, hi + lo is X and h = 2**(e - 54) * 10**j.
+    # Neither end is an integer, since X +- h = (2f +- 1) * 5**j * 2**(e + j -
+    # 54) and X < 1e17 makes e + j <= 52; and lo +- h is exact, as a multiple of
     # 2**-47 below 32.  (Below a power of two the gap is h / 2, which for the
-    # powers of two in range changes no digits; csv_format checks them all.)
-    h = ((exponent - 53) << 52).view(float) * scale
-    # the values the positional form leaves out take the exponent form's X,
-    # in a pass over them alone
-    small = np.flatnonzero((mag < 1e-4) & (mag >= np.finfo(float).tiny))
-    if small.size:
-        j_small, hi[small], lo[small], h[small], unsure = _exponent_scale(v[small])
+    # powers of two from 1e-4 changes no digits; csv_format checks them all.)
     digits, tie = _shortest(hi, lo, h)
     declined = tie | ~covered
     first, quads = _digit_words(digits)
     text = np.empty((len(v), 3), _U64LE)
     sign = np.signbit(v)
-    text[:, 0] = _HEAD.take(sign * 210 + 10 * j + first)
+    # clipped for j > 20, the exponent-form rows, which are overwritten below
+    text[:, 0] = _HEAD.take(sign * 210 + 10 * j + first, mode="clip")
     text.view(np.uint32)[:, 2:] = quads
     ones = np.flatnonzero(j <= 16)
     if ones.size:
@@ -242,9 +233,19 @@ def repr_text(values):
         rows |= _POINT[at] | (before >> np.uint64(8))
         rows[:, :2] |= before[:, 1:] << np.uint64(56)
         text[ones] = rows
+    small = np.flatnonzero(covered & (mag < 1e-4))
     if small.size:
-        text[small] = _exponent_rows(sign[small], first[small], quads[small], j_small)
-        declined[small] = tie[small] | unsure
+        text[small] = _exponent_rows(sign[small], first[small], quads[small], j[small])
+        # There j >= 20 and T need not be exact: hi + lo misses X by x' times
+        # T's error (2**-49) and the roundings of x' * T_LOW (2**-50) and of the
+        # sum into lo (2**-49), 5 * 2**-50 in all; lo +- h misses X +- h by
+        # another 2**-50 in h and 2**-48 in the sum, 10 * 2**-50 in all.  A
+        # decision closer than 2**-46 is left to repr, and so is a power of two,
+        # below which the gap is h / 2, which there changes some digits.
+        lo, h = lo[small], h[small]
+        bounds = np.stack([lo, lo - h, lo + h, lo - 0.5])
+        unsure = np.any(np.abs(bounds - np.rint(bounds)) < 2.0**-46, 0)
+        declined[small] |= unsure | ((v[small].view(np.int64) & 0xFFFFFFFFFFFFF) == 0)
     zeros = np.flatnonzero(mag == 0)
     text[zeros] = _ZERO[sign[zeros].view(np.uint8)]
     declined[zeros] = False
@@ -254,29 +255,26 @@ def repr_text(values):
     return text.view(np.uint8), declined
 
 
-def _exponent_scale(v):
-    """For finite normal values below 1e-4 in magnitude: their ``j``, ``X``
-    as ``hi + lo``, ``h``, and a mask of the values with a rounding decision
-    too close to tell."""
-    bits = v.view(np.int64)
-    exponent = (bits >> 52) & 0x7FF
-    # |v| * 2**(1023 - E), in [1, 2); X = x * T
-    x = ((bits & 0xFFFFFFFFFFFFF) | 0x3FF0000000000000).view(float)
-    less = np.abs(v) >= _NEXT_DECADE.take(exponent)
+def _scale(x):
+    """For finite normal ``x > 0``: ``j``, ``X = x * 10**j`` as ``hi + lo``, and
+    ``h = 10**j * ulp(x) / 2``.  With ``E`` the biased exponent of ``x``, ``x'
+    = x * 2**(1023 - E)`` in ``[1, 2)`` is set from the bits, and ``X = x' *
+    T``, ``T = 10**j * 2**(E - 1023)`` from :func:`_scaled_powers`, by
+    Dekker's product with Veltkamp's split."""
+    bits = x.view(np.int64)
+    exponent = bits >> 52
+    less = x >= _NEXT_DECADE.take(exponent)
     index = 2 * exponent + less
-    scale = _T_HIGH.take(index)
-    hi, lo = _two_product(x, scale, _T_SPLIT.take(index))
-    lo += x * _T_LOW.take(index)
-    # hi + lo misses X by x times T's error (2**-49) and the roundings of x *
-    # T_LOW (2**-50) and of the sum into lo (2**-49), 5 * 2**-50 in all; lo +-
-    # h misses X +- h, h = 2**-53 * T, by another 2**-50 in h and 2**-48 in
-    # the sum, 10 * 2**-50 in all.  A decision closer than 2**-46 is left to repr.
-    h = scale * 2.0**-53
-    bounds = np.stack([lo, lo - h, lo + h, lo - 0.5])
-    unsure = np.any(np.abs(bounds - np.rint(bounds)) < 2.0**-46, 0)
-    # below a power of two the gap is h / 2, which here changes some digits
-    unsure |= x == 1
-    return _J.take(exponent) - less, hi, lo, h, unsure
+    mantissa = ((bits & 0xFFFFFFFFFFFFF) | 0x3FF0000000000000).view(float)
+    scale, scale_high = _T_HIGH.take(index), _T_SPLIT.take(index)
+    scale_low = scale - scale_high
+    split = mantissa * _SPLIT
+    x_high = split - (split - mantissa)
+    x_low = mantissa - x_high
+    hi = mantissa * scale
+    lo = ((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
+    lo += mantissa * _T_LOW.take(index)
+    return _J.take(exponent) - less, hi, lo, scale * 2.0**-53
 
 
 def _exponent_rows(negative, first, quads, j):
@@ -289,18 +287,6 @@ def _exponent_rows(negative, first, quads, j):
     rows[:, 1] = words[:, 0] >> np.uint64(40) | words[:, 1] << np.uint64(24)
     rows[:, 2] = words[:, 1] >> np.uint64(40) | _EXPONENT_TAIL.take(j - 16)
     return rows
-
-
-def _two_product(x, scale, scale_high):
-    """``hi + lo = x * scale`` exactly, given the high part of ``scale``'s
-    Veltkamp split (Dekker's product)."""
-    hi = x * scale
-    split = x * _SPLIT
-    x_high = split - (split - x)
-    x_low = x - x_high
-    scale_low = scale - scale_high
-    lo = ((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
-    return hi, lo
 
 
 def _shortest(hi, lo, h):

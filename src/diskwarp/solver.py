@@ -22,7 +22,7 @@ import numpy as np
 
 from .action import DiscretePath, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
-from .poly import as_coeffs, check_alpha, derivative, evaluate
+from .poly import _FLOAT_MAX, _is_number, as_coeffs, check_alpha, derivative, evaluate
 
 __all__ = [
     "SolverConfig",
@@ -60,8 +60,9 @@ class SolverConfig:
         if not (_is_integer(self.num_steps) and self.num_steps >= 2):
             raise ValueError(f"num_steps must be an integer >= 2, got {self.num_steps!r}")
         check_alpha(self.alpha)
-        if not 0 < self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        # NaN fails both comparisons; an int too large for a float fails the second
+        if not (_is_number(self.grad_tol) and 0 < self.grad_tol <= _FLOAT_MAX):
+            raise ValueError(f"grad_tol must be a positive finite number, got {self.grad_tol!r}")
         if not (_is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 

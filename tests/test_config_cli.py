@@ -1,5 +1,7 @@
 """Experiment configs and the command-line front-end."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import diskwarp
 from diskwarp import checks
+import diskwarp.cli as cli_module
 from diskwarp.cli import main, run_experiment, run_oracle
 from diskwarp.config import ExperimentConfig, load_config
 from diskwarp.errors import (ConfigParseError, ConfigValidationError, NoConvergenceError,
@@ -149,6 +152,18 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "does-not-exist.json")]) == 1
 
 
+def test_cli_main_under_redirected_streams(tmp_path):
+    """main runs with stdout and stderr redirected to objects that have no
+    ``reconfigure``, such as io.StringIO."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        oracle = main(["oracle", str(write_config(tmp_path)), "--output", str(tmp_path / "o")])
+        missing = main(["solve", str(tmp_path / "does-not-exist.json")])
+    assert (oracle, missing) == (0, 1)
+    assert out.getvalue() == f"tiny: oracle path written -> {tmp_path / 'o'}\n"
+    assert err.getvalue().startswith("config error: ")
+
+
 def _run_under_an_ascii_locale(args, cwd=None):
     """``python -m diskwarp.cli`` with ASCII as the locale's and the
     filesystem's encoding."""
@@ -185,6 +200,26 @@ def test_cli_unencodable_output_directory_is_a_config_error(tmp_path):
         assert proc.stderr.startswith(b"config error: output directory 'out/caf\\xe9"), proc.stderr
         assert proc.stdout == b""
     assert list(work.iterdir()) == []
+
+
+def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """An output directory that is, or lies under, an existing file is a
+    config error for every verb, raised before the solve or the closed form."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("computed before the output directory was checked")
+
+    monkeypatch.setattr(cli_module, "solve", not_called)
+    monkeypatch.setattr(cli_module, "closed_form", not_called)
+    config_path = write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    for output in (blocker, blocker / "sub"):
+        for args in (["solve"], ["oracle"], ["sweep", "--alpha", "0.1,1"]):
+            assert main([*args, str(config_path), "--output", str(output)]) == 1
+            err = capsys.readouterr().err
+            assert err == (f"config error: output directory {str(output)!r} cannot be made: "
+                           f"{str(blocker)!r} is not a directory\n")
+    assert blocker.read_text() == "kept"
 
 
 # names that are not a single plain path component; as the default output
@@ -272,8 +307,6 @@ def test_cli_nonconformal_exit_code(tmp_path):
 
 
 def test_cli_no_convergence_exit_code(tmp_path, monkeypatch):
-    import diskwarp.cli as cli_module
-
     original = cli_module.SolverConfig
 
     def strangled(**kwargs):
@@ -335,8 +368,6 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_cli_sweep_exits_with_the_worst_status(tmp_path, capsys, monkeypatch):
-    import diskwarp.cli as cli_module
-
     # lost conformality (3) followed by no convergence (2) still exits 3
     failures = iter([NotConformalError("lost"), NoConvergenceError("budget")])
 

@@ -1,5 +1,8 @@
 """Warp frame meshes and emitters."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from diskwarp import checks
 from diskwarp.action import DiscretePath
 from diskwarp.cli import run_oracle
 from diskwarp.config import load_config
-from diskwarp.frames import (CSV_HEADER, disk_mesh, points_text, repr_text, warp_frames,
-                             write_frames_csv, write_frames_svg)
+from diskwarp.frames import (CSV_HEADER, _scale, disk_mesh, points_text, repr_text,
+                             warp_frames, write_frames_csv, write_frames_svg)
 
 
 def linear_path(scales, n=4):
@@ -231,6 +234,27 @@ def test_csv_rejects_nul_in_line_id(tmp_path):
 def test_csv_coordinate_kernel_matches_repr():
     for seed in range(3):
         assert checks.csv_format(np.random.default_rng(seed), 3000) == 0
+
+
+def test_csv_kernel_scale_is_exact_from_1e_minus_4():
+    """``repr_text`` forms ``X = |x| * 10**j`` as ``hi + lo`` through one
+    table.  From 1e-4 up, where ``10**j`` is a double, ``hi + lo`` is ``X``
+    and ``h`` half the gap above ``x`` times ``10**j``, both exactly; below,
+    down to the least normal double, ``hi + lo`` is within ``5 * 2**-50``."""
+    rng = np.random.default_rng(5)
+    least = np.finfo(float).tiny
+    positional = np.concatenate([10.0 ** rng.uniform(-4, 15, 2000),
+                                 np.ldexp(1.0, np.arange(-13, 50))])  # all powers of two
+    exponent_form = np.concatenate([10.0 ** rng.uniform(np.log10(least), -4, 2000),
+                                    np.ldexp(1.0, np.arange(-1022, -13)), [least]])
+    for values, bound in ((positional, 0), (exponent_form, Fraction(5, 2**50))):
+        assert values.min() >= least and values.max() < 1e15
+        for x, j, hi, lo, h in zip(values.tolist(), *(a.tolist() for a in _scale(values))):
+            X = Fraction(x) * 10**j
+            assert 1e16 - 2 < X < 1e17
+            assert abs(Fraction(hi) + Fraction(lo) - X) <= bound, x
+            if not bound:
+                assert Fraction(h) == Fraction(math.ulp(x)) / 2 * 10**j, x
 
 
 def test_csv_kernel_declines_few_values():
