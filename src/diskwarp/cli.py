@@ -94,8 +94,8 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
 
 def _output_dir(path) -> Path:
     """``path`` as a Path; ConfigValidationError if the filesystem encoding
-    cannot encode it or if it or a parent is a file other than a directory,
-    so that a run fails before its compute."""
+    cannot encode it or if it or a parent is a file other than a directory
+    or a dangling symlink, so that a run fails before its compute."""
     try:
         os.fsencode(path)
     except UnicodeEncodeError:
@@ -104,7 +104,7 @@ def _output_dir(path) -> Path:
             f"encoding {sys.getfilesystemencoding()!r}") from None
     path = Path(path)
     for parent in (path, *path.parents):
-        if parent.exists() and not parent.is_dir():
+        if os.path.lexists(parent) and not parent.is_dir():
             raise ConfigValidationError(
                 f"output directory {str(path)!r} cannot be made: {str(parent)!r} is not a directory")
     return path

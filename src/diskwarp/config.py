@@ -47,9 +47,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the name is the default output directory under out/, so it must not
-        # be able to point anywhere else
+        # be able to point anywhere else, nor carry a control character into
+        # report.txt's lines
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
-                or any(c in self.name for c in "/\\\0")):
+                or not self.name.isprintable() or any(c in self.name for c in "/\\")):
             raise ConfigValidationError(
                 f"name must be a single plain path component, got {self.name!r}"
             )

@@ -5,9 +5,9 @@ radial spokes (angle ``2 pi m / A``) of the unit disk through one step's
 polynomial.  Frames serialize either as a single CSV table or as one SVG of
 plain polylines per step; both writers are deterministic byte for byte.
 
-The writers format whole arrays, not points, with numpy kernels that build
-the digits from lookup tables and pad the text with NUL bytes, which are
-dropped before a write.  An SVG frame's coordinates go through
+The writers format whole arrays, not points, with numpy kernels that cut the
+digits from one table of four-digit words and pad the text with NUL bytes,
+which are dropped before a write.  An SVG frame's coordinates go through
 :func:`points_text`, which rounds every ``x, -y`` to millionths at once and
 gives the bytes of ``"%.6f"``; a frame with a value it declines (too large,
 not finite, or a possible rounding tie) is formatted with one ``%`` per
@@ -17,10 +17,10 @@ polyline instead.  A CSV frame's rows are three byte tables side by side:
 the coordinates from :func:`repr_text`, which gives the bytes of ``repr``,
 the shortest decimal that reads back to the same double, by integer
 arithmetic on each value's rounding interval, positional from 1e-4 and in
-exponent form below.  It scales every value by a power of ten from one
-table by binary exponent, exact from 1e-4 up.  A value it declines
-(subnormal, from 1e15 in magnitude, not finite, or a possible tie) gets
-``repr`` one at a time.
+exponent form below; a zero is the digits 0, written positionally.  It
+scales every value by a power of ten from one table by binary exponent,
+exact from 1e-4 up.  A value it declines (subnormal, from 1e15 in magnitude,
+not finite, or a possible tie) gets ``repr`` one at a time.
 """
 
 from __future__ import annotations
@@ -63,18 +63,18 @@ def warp_frames(path: DiscretePath, circles: int, rays: int, samples: int = 128)
     return [[(line_id, pts) for (line_id, _), pts in zip(mesh, step)] for step in images]
 
 
-# "%.6f" as three 4-byte words per value, indexed by a group of three digits:
-# a sign slot and the integer part (leading zeros NUL, the units digit kept),
-# ".ddd", and "ddd" with a separator slot.  NUL bytes are dropped afterwards.
-_DIGITS = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3)
-_WORDS = np.zeros((3, 1000, 4), np.uint8)
-_WORDS[0, :, 1:] = _DIGITS
-_WORDS[0, :100, 1] = 0
-_WORDS[0, :10, 2] = 0
-_WORDS[1, :, 0] = ord(".")
-_WORDS[1, :, 1:] = _DIGITS
-_WORDS[2, :, :3] = _DIGITS
-_WORDS = _WORDS.view(np.uint32)[..., 0]
+# "dddd" for 0..9999, then the same with trailing zeros as NUL
+_QUADS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+_TRAILING = np.logical_and.accumulate(_QUADS[:, ::-1] == ord("0"), 1)[:, ::-1]
+_QUADS = np.concatenate([_QUADS, np.where(_TRAILING, np.uint8(0), _QUADS)])
+_QUADS = np.ascontiguousarray(_QUADS).view(np.uint32)[:, 0]
+# "%.6f" as three 4-byte words per value, indexed by a group of three digits
+# and cut from the little-endian quads "0ddd": a sign slot and the integer
+# part (leading zeros NUL, the units digit kept), ".ddd", and "ddd" with a
+# separator slot.  NUL bytes are dropped afterwards.
+_KEEP = np.where(np.arange(1000)[:, None] >= [1000, 100, 10, 0], 0xFF, 0).astype(np.uint8)
+_WORDS = np.stack([_QUADS[:1000] & _KEEP.view(np.uint32)[:, 0],
+                   _QUADS[:1000] & 0xFFFFFF00 | ord("."), _QUADS[:1000] >> 8])
 
 
 def points_text(lines):
@@ -155,15 +155,6 @@ _HEAD[:, :, :, 7] = ord("0") + np.arange(10)
 for _j in range(17, 21):
     _HEAD[:, _j, :, 2:_j - 13] = np.frombuffer(b"0.000"[:_j - 15], np.uint8)
 _HEAD = _HEAD.view(_U64LE).ravel()
-_ZERO = np.zeros((2, 24), np.uint8)  # "0.0" and "-0.0"
-_ZERO[:, 2:5] = np.frombuffer(b"0.0", np.uint8)
-_ZERO[1, 1] = ord("-")
-_ZERO = _ZERO.view(_U64LE)
-# "dddd" for 0..9999, then the same with trailing zeros as NUL
-_QUADS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-_TRAILING = np.logical_and.accumulate(_QUADS[:, ::-1] == ord("0"), 1)[:, ::-1]
-_QUADS = np.concatenate([_QUADS, np.where(_TRAILING, np.uint8(0), _QUADS)])
-_QUADS = np.ascontiguousarray(_QUADS).view(np.uint32)[:, 0]
 # for 1 <= |x|: by j, the "0" bits of the digits up to the first decimal; by
 # `at`, the first `at` bytes of a row, and a "." at byte at - 1
 _BYTE = np.arange(24)
@@ -186,28 +177,27 @@ def repr_text(values):
     declined; their rows hold ``repr`` itself, formatted one value at a time.
 
     ``repr`` writes the shortest decimal that reads back to the same double,
-    the nearest to it among the shortest (Steele & White; Gay), positional
-    for ``1e-4 <= |x| < 1e16`` and as ``d.ddde-XX`` below.  The kernel
-    covers zeros and finite normal ``|x| < 1e15`` and finds the digits as
-    Ryu does (Adams, PLDI 2018), with integer arithmetic on the rounding
-    interval.  With ``j = 16 - floor(log10|x|)``, ``X = |x| * 10**j`` lies in
-    ``[1e16, 1e17)``.  :func:`_scale` forms it as ``hi + lo`` for every
-    value, from a table by binary exponent of ``10**j`` times a power of two
-    as a double-double, by Dekker's product with Veltkamp's split, since
-    numpy has no fused multiply-add.  For ``|x| >= 1e-4``, ``j <= 20``, so
-    the table's entry is exact and so is ``hi + lo``; below, ``hi + lo`` is
-    within ``2**-47`` of ``X``.  The digits are those of the multiple of the
-    largest ``10**k`` that reads back to ``x``, the nearest to ``X`` if
-    several do.  The kernel declines a value out of its range
-    (subnormal, from 1e15 in magnitude, or not finite), one whose two
-    nearest candidates may tie, such as ``2.51564788818359375``, and, below
-    1e-4, a power of two or a value with a rounding decision within that
-    error bound.
+    the nearest to it among the shortest (Steele & White; Gay), positional for
+    ``1e-4 <= |x| < 1e16`` and as ``d.ddde-XX`` below.  The kernel covers
+    finite normal ``|x| < 1e15`` and zeros, which are the digits 0 at ``j =
+    17``, and finds the digits as Ryu does (Adams, PLDI 2018), with integer
+    arithmetic on the rounding interval.  With ``j = 16 - floor(log10|x|)``,
+    ``X = |x| * 10**j`` lies in ``[1e16, 1e17)``.  :func:`_scale` forms it as
+    ``hi + lo`` for every value, from a table by binary exponent of ``10**j``
+    times a power of two as a double-double, by Dekker's product with
+    Veltkamp's split, since numpy has no fused multiply-add.  For ``|x| >=
+    1e-4``, ``j <= 20``, so the table's entry is exact and so is ``hi + lo``;
+    below, ``hi + lo`` is within ``2**-47`` of ``X``.  The digits are those of
+    the multiple of the largest ``10**k`` that reads back to ``x``, the nearest
+    to ``X`` if several do.  The kernel declines a value out of its range
+    (subnormal, from 1e15 in magnitude, or not finite), one whose two nearest
+    candidates may tie, such as ``2.51564788818359375``, and, below 1e-4, a
+    power of two or a value with a rounding decision within that error bound.
     """
     v = np.ravel(np.asarray(values, dtype=float))
     mag = np.abs(v)
     covered = (mag >= np.finfo(float).tiny) & (mag < 1e15)
-    j, hi, lo, h = _scale(np.where(covered, mag, 0.30000000000000004))  # 17 digits
+    j, hi, lo, h = _scale(np.where(covered, mag, 0.30000000000000004))  # j = 17, no tie
     # The doubles that read back to x = f * 2**(e - 53) lie within X +- h.  From
     # 1e-4 up, j <= 20, so T is exact, hi + lo is X and h = 2**(e - 54) * 10**j.
     # Neither end is an integer, since X +- h = (2f +- 1) * 5**j * 2**(e + j -
@@ -215,7 +205,8 @@ def repr_text(values):
     # 2**-47 below 32.  (Below a power of two the gap is h / 2, which for the
     # powers of two from 1e-4 changes no digits; csv_format checks them all.)
     digits, tie = _shortest(hi, lo, h)
-    declined = tie | ~covered
+    digits[mag == 0] = 0
+    declined = tie | (~covered & (mag != 0))
     first, quads = _digit_words(digits)
     text = np.empty((len(v), 3), _U64LE)
     sign = np.signbit(v)
@@ -246,9 +237,6 @@ def repr_text(values):
         bounds = np.stack([lo, lo - h, lo + h, lo - 0.5])
         unsure = np.any(np.abs(bounds - np.rint(bounds)) < 2.0**-46, 0)
         declined[small] |= unsure | ((v[small].view(np.int64) & 0xFFFFFFFFFFFFF) == 0)
-    zeros = np.flatnonzero(mag == 0)
-    text[zeros] = _ZERO[sign[zeros].view(np.uint8)]
-    declined[zeros] = False
     if declined.any():
         text[declined] = np.array(list(map(repr, v[declined].tolist())),
                                   "S24").view(_U64LE).reshape(-1, 3)

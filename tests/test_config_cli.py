@@ -203,8 +203,9 @@ def test_cli_unencodable_output_directory_is_a_config_error(tmp_path):
 
 
 def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch, capsys):
-    """An output directory that is, or lies under, an existing file is a
-    config error for every verb, raised before the solve or the closed form."""
+    """An output directory that is, or lies under, an existing file or a
+    dangling symlink is a config error for every verb, raised before the
+    solve or the closed form; a symlink to a directory is a valid output."""
     def not_called(*args, **kwargs):
         raise AssertionError("computed before the output directory was checked")
 
@@ -213,18 +214,34 @@ def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch,
     config_path = write_config(tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("kept")
-    for output in (blocker, blocker / "sub"):
-        for args in (["solve"], ["oracle"], ["sweep", "--alpha", "0.1,1"]):
-            assert main([*args, str(config_path), "--output", str(output)]) == 1
-            err = capsys.readouterr().err
-            assert err == (f"config error: output directory {str(output)!r} cannot be made: "
-                           f"{str(blocker)!r} is not a directory\n")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    verbs = (["solve"], ["oracle"], ["sweep", "--alpha", "0.1,1"])
+    for block in (blocker, dangling):
+        for output in (block, block / "sub"):
+            for args in verbs:
+                assert main([*args, str(config_path), "--output", str(output)]) == 1
+                err = capsys.readouterr().err
+                assert err == (f"config error: output directory {str(output)!r} cannot be made: "
+                               f"{str(block)!r} is not a directory\n")
     assert blocker.read_text() == "kept"
+    assert not (tmp_path / "nowhere").exists()
+
+    monkeypatch.undo()
+    (tmp_path / "target").mkdir()
+    linked = tmp_path / "linked"
+    linked.symlink_to(tmp_path / "target")
+    for args in verbs:
+        for output in (linked, linked / "sub"):
+            assert main([*args, str(config_path), "--output", str(output)]) == 0
+    assert (tmp_path / "target" / "sub").is_dir()
 
 
 # names that are not a single plain path component; as the default output
-# directory out/<name> they would point outside out/
-UNSAFE_NAMES = ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
+# directory out/<name> they would point outside out/, or hold a control
+# character that would forge lines of report.txt
+UNSAFE_NAMES = ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b", "a\nb", "a\rb",
+                "a\tb"]
 
 
 def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -208,6 +208,27 @@ def test_iteration_budget_raises_no_convergence():
     assert result.grad_norm > 1e-8
 
 
+def test_line_search_exhausted_raises_no_convergence(monkeypatch):
+    """The third exit: when no trial step of a line search passes, the loop
+    stops there after its 60 backtracks, and solve raises NoConvergenceError
+    with the last accepted iterate."""
+    calls = []
+    original = solver_module.action_and_gradient
+
+    def nan_after_first(*args, **kwargs):
+        calls.append(None)
+        f, g = original(*args, **kwargs)
+        return (f if len(calls) == 1 else float("nan")), g
+
+    monkeypatch.setattr(solver_module, "action_and_gradient", nan_after_first)
+    with pytest.raises(NoConvergenceError) as excinfo:
+        solve(SolverConfig(n=16, num_steps=20, alpha=0.1), [0, 0.5])
+    assert len(calls) == 61
+    result = excinfo.value.result
+    assert result.iterations == 0
+    assert not result.converged
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n=1, num_steps=20, alpha=0.1)
