@@ -1,10 +1,10 @@
 """The numerical identities the package rests on, one function each.
 
 Every check draws its samples from ``rng``, runs ``count`` trials and returns
-the worst error it saw (NaN if any trial gave NaN); :func:`svg_format` and
-:func:`csv_format` return the number of values they got wrong.  ``diskwarp
-check`` runs them through :data:`BATTERY`; the test suite calls the same
-functions with its own seeds, counts and tolerances.
+the worst error it saw (NaN if any trial gave NaN); :func:`certificate`,
+:func:`svg_format` and :func:`csv_format` return the number of values they
+got wrong.  ``diskwarp check`` runs them through :data:`BATTERY`; the test
+suite calls the same functions with its own seeds, counts and tolerances.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from .action import DiscretePath, action_and_gradient, action_gradient, discrete
 from .frames import points_text, repr_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity, initial_velocity,
                                integrate_reduced)
-from .poly import adjoint_dz, derivative, inner_l2
-from .solver import _inverse_hessian_at_identity, identity_map
+from .poly import adjoint_dz, derivative, evaluate, inner_l2
+from .solver import (_certificate_grid, _inverse_hessian_at_identity, certify_conformal,
+                     identity_map)
 
 __all__ = ["BATTERY", "adjoint", "action_modes", "gradient", "preconditioner", "conservation",
-           "shooting", "svg_format", "csv_format"]
+           "shooting", "certificate", "svg_format", "csv_format"]
 
 
 def _poly_pair(rng, max_len):
@@ -130,6 +131,43 @@ def shooting(rng, count, alphas=(0.0, 0.1, 1.0, 10.0)):
         traj = integrate_reduced(LinearState(1.0 + 0j, a0), alpha, 1.0, 100)
         worst = np.maximum(worst, np.max(np.abs(traj[:, 0] - ref)))
     return worst
+
+
+def certificate(rng, count):
+    """Number of values of :func:`certify_conformal` that differ in any bit
+    from the least ``|p'|`` by Horner's rule over the whole grid.
+
+    Each trial draws ``angles`` from {7, 64}, ``radii`` from 1 to 8 and a
+    degree bound n from 3 to ``3 * angles``, so that the ring FFT runs both
+    unfolded and folded mod ``angles``, and certifies three paths:
+    coefficients decaying at a random rate after the identity and a linear
+    map (flat rows), with a NaN in one row on every other trial;
+    ``z + c z**k`` with ``c < 0`` and k - 1 a divisor of ``angles``, whose
+    ``|p'|`` is least at k - 1 grid directions of each ring, where Horner's
+    values differ in the last bits; and the identity followed by
+    ``z + 0.6 w z**2`` for a random grid direction w, whose second row can
+    have one candidate point alone.
+    """
+    wrong = 0
+    for trial in range(count):
+        angles, radii = int(rng.choice([7, 64])), int(rng.integers(1, 9))
+        n = int(rng.integers(3, 3 * angles))
+        decaying = _steps(rng, (4, n)) * rng.uniform(0.2, 1.0) ** np.arange(n)
+        decaying[:2] = identity_map(n)
+        decaying[1, 1] = _near(rng, 1.0)
+        if trial % 2:
+            decaying[rng.integers(4), rng.integers(n)] = np.nan
+        k = 1 + int(rng.choice([q for q in range(1, n - 1) if angles % q == 0]))
+        ties = np.tile(identity_map(n), (2, 1))
+        ties[:, k] = -rng.uniform(0.1, 0.9, 2) / k
+        single = np.tile(identity_map(n), (2, 1))
+        single[1, 2] = 0.6 * np.exp(2j * np.pi * rng.integers(angles) / angles)
+        grid = _certificate_grid(angles, radii, n)[0]
+        for steps in (decaying, ties, single):
+            full = np.min(np.abs(evaluate(derivative(steps), grid)), axis=-1)
+            screened = certify_conformal(DiscretePath(steps), angles, radii)
+            wrong += int(np.sum(screened.view(np.uint64) != full.view(np.uint64)))
+    return wrong
 
 
 def svg_format(rng, count):
@@ -256,6 +294,8 @@ BATTERY = [
      preconditioner, (10,), 1e-10),
     ("reduced dynamics conserve energy and Clairaut momentum", conservation, (5,), 1e-10),
     ("closed form agrees with integrated dynamics", shooting, (3,), 1e-7),
+    ("screened conformality certificate matches full-grid Horner bit for bit",
+     certificate, (100,), 0),
     ("fixed-point SVG coordinates match %.6f", svg_format, (200,), 0),
     ("shortest-repr CSV coordinates match repr", csv_format, (2000,), 0),
 ]

@@ -10,6 +10,7 @@ from diskwarp import checks
 from diskwarp.config import load_config
 from diskwarp.errors import NoConvergenceError, NotConformalError
 from diskwarp.linear_geodesics import closed_form
+from diskwarp.poly import derivative, evaluate
 from diskwarp.solver import (
     CONFORMAL_MIN_DERIV,
     SolverConfig,
@@ -65,17 +66,83 @@ def test_certify_identity_and_scalings():
     assert np.allclose(certify_conformal(DiscretePath(steps)), scales)
 
 
+def full_grid_minima(steps, angles=64, radii=8):
+    """The certificate by Horner's rule at every point of the grid, which
+    certify_conformal must give bit for bit."""
+    grid = solver_module._certificate_grid(angles, radii, steps.shape[1])[0]
+    return np.min(np.abs(evaluate(derivative(steps), grid)), axis=-1)
+
+
 def test_certify_samples_interior_rings():
-    # phi = z + 0.6 z^2 has phi' = 1 + 1.2 z vanishing at z = -5/6 inside the
-    # disk, so the certified minimum comes from the interior ring nearest the
-    # zero (r = 7/8, angle pi), not from the boundary point z = -1
+    # phi = z + 0.6 w z^2 with w = exp(2 pi i / 64) has phi' = 1 + 1.2 w z
+    # vanishing at z = -5/(6 w) inside the disk, so the certified minimum
+    # comes from the interior ring nearest the zero (r = 7/8, on a grid
+    # direction), not from the boundary.  That point is the second row's only
+    # candidate, and the identity row takes the whole grid: evaluated alone,
+    # the point would go through numpy's scalar complex product, without the
+    # fused multiply-add of its vector loop, and lose the last bit.
     steps = np.zeros((2, 3), dtype=complex)
     steps[:, 1] = 1.0
-    steps[:, 2] = 0.6
+    steps[1, 2] = 0.6 * np.exp(2j * PI / 64)
     minima = certify_conformal(DiscretePath(steps), angles=64, radii=8)
-    assert minima[0] == pytest.approx(abs(1 - 1.2 * 0.875), abs=1e-12)
+    assert np.array_equal(minima, full_grid_minima(steps))
+    assert minima[0] == 1.0
+    assert minima[1] == pytest.approx(abs(1 - 1.2 * 0.875), abs=1e-12)
     dense = np.min(np.abs(1 + 1.2 * (7 / 8) * np.exp(1j * 2 * PI * np.arange(64) / 64)))
-    assert minima[0] == pytest.approx(dense)
+    assert minima[1] == pytest.approx(dense)
+
+
+def test_certify_rejects_invalid_grids():
+    # phi' = 1 - z/0.75 vanishes at z = 0.75 on the default grid; a grid of the
+    # center alone would pass the map
+    path = DiscretePath([[0, 1, -1 / 1.5]] * 2)
+    assert np.array_equal(certify_conformal(path), [0.0, 0.0])
+    for bad in ({"angles": 0}, {"radii": 0}, {"angles": -3}, {"angles": 2.5},
+                {"radii": True}, {"angles": 64.0}, {"radii": None}):
+        with pytest.raises(ValueError):
+            certify_conformal(path, **bad)
+    assert np.array_equal(certify_conformal(path, angles=np.int64(64), radii=np.int32(8)),
+                          [0.0, 0.0])
+
+
+def test_certificate_matches_full_grid_horner_on_random_paths():
+    assert checks.certificate(np.random.default_rng(37), 300) == 0
+
+
+@pytest.mark.parametrize("name, size",
+                         [pytest.param(p.stem, None, id=p.stem) for p in SHIPPED_CONFIGS]
+                         + [pytest.param("example5a", (40, 64), id="example5a-40-64"),
+                            pytest.param("example5c", (20, 128), id="example5c-20-128")])
+def test_certificate_matches_full_grid_horner_on_solved_paths(name, size):
+    """Every shipped config's solved path and endpoint pair, at its own
+    (N, n) and at the benchmark's larger ones."""
+    config = load_config(SHIPPED_CONFIGS[0].parent / f"{name}.json")
+    num_steps, degree_bound = size or (config.num_steps, config.degree_bound)
+    result = solve(SolverConfig(n=degree_bound, num_steps=num_steps, alpha=config.alpha),
+                   config.target)
+    steps = result.path.steps
+    assert np.array_equal(result.conformal_certificate, full_grid_minima(steps))
+    pair = steps[[0, -1]]
+    assert np.array_equal(certify_conformal(DiscretePath(pair)), full_grid_minima(pair))
+
+
+def test_ring_estimate_is_within_half_the_margin():
+    """Where Horner's |phi'| is least, the ring-FFT estimate is within the
+    margin of its own least as long as the two differ by at most half the
+    margin.  Measured worst ratio: about 3e-5."""
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(300):
+        angles, radii = int(rng.choice([1, 7, 64, 100])), int(rng.integers(1, 9))
+        n = int(rng.integers(2, 300))
+        steps = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        d = derivative(steps * rng.uniform(0.2, 1.0) ** np.arange(n))
+        grid, powers = solver_module._certificate_grid(angles, radii, n)
+        estimate = solver_module._ring_estimate(d, powers, angles)
+        margin = (n + angles) * 2.0**-40 * np.sum(np.abs(d), axis=1)
+        gap = np.abs(estimate - np.abs(evaluate(d, grid))) / margin[:, None]
+        worst = max(worst, float(np.max(gap)))
+    assert worst < 0.5
 
 
 def test_identity_target_is_instant():
