@@ -177,11 +177,11 @@ def svg_format(rng, count):
     both signs, multiples of 1/128 (exact rounding ties when odd), the
     floats nearest seven-decimal ties such as 0.0185475, and the extremes
     +-0, +-999.9999995, 1e16, NaN and +-inf.  Each value is formatted alone,
-    as the point ``x - ix`` whose text is ``"%.6f,%.6f" % (x, x)``.  A value
-    the kernel declines counts as correct only if exact arithmetic puts it
-    out of range, non-finite or within round-off of a tie.  The accepted
-    values are then formatted together, in lines of random lengths (empty
-    ones included), and every value of a line whose text differs counts.
+    as the point ``x - ix`` whose text is ``"%.6f,%.6f" % (x, x)``, and is
+    wrong if its text differs or if the kernel declines it while
+    :func:`_must_decline` does not allow that.  Then all values are formatted
+    together, in lines of random lengths (empty ones included), and every
+    value of a line whose text differs counts.
     """
     signs = rng.choice([-1.0, 1.0], (3, count))
     values = np.concatenate([
@@ -190,30 +190,22 @@ def svg_format(rng, count):
         signs[2] * [float(f"{10 * k + 5}e-7") for k in rng.integers(0, 10**8, count)],
         [0.0, -0.0, 999.9999995, -999.9999995, 1e16, np.nan, np.inf, -np.inf],
     ])
-    wrong, accepted = 0, []
+    wrong = 0
     for x in values:
-        text = points_text([np.array([complex(x, -x)])])
-        if text is None:
-            wrong += not _must_decline(x)
-        else:
-            wrong += text != ["%.6f,%.6f" % (x, x)]
-            accepted.append(x)
-    points = np.stack([accepted, np.negative(accepted)], 1).ravel().view(complex)  # x - ix
+        texts, declined = points_text([np.array([complex(x, -x)])])
+        wrong += texts != ["%.6f,%.6f" % (x, x)] or (declined.any() and not _must_decline(x))
+    points = np.stack([values, np.negative(values)], 1).ravel().view(complex)  # x - ix
     lines = np.split(points, np.sort(rng.integers(0, len(points) + 1, len(points) // 4)))
-    for pts, text in zip(lines, points_text(lines) or [None] * len(lines)):
+    for pts, text in zip(lines, points_text(lines)[0]):
         wrong += len(pts) * (text != " ".join("%.6f,%.6f" % (x, x) for x in pts.real))
     return wrong
 
 
 def _must_decline(x):
-    """Whether :func:`points_text` may decline ``x``: not finite, ``|x| * 10**6``
-    of 999_999_998 or more, or within its half-ulp of a half-integer, decided
-    in exact arithmetic."""
-    if not np.isfinite(x):
-        return True
-    num, den = abs(float(x)).as_integer_ratio()
-    scaled = num * 10**6  # |x| * 10**6 == scaled / den
-    return scaled >= 999_999_998 * den or abs(2 * (scaled % den) - den) * 2**51 <= scaled
+    """Whether :func:`points_text` may decline ``x``: not finite, or ``|x| *
+    1e6`` of 999_999_998 or more, whose text may need a fourth integer digit,
+    with a margin for the product's rounding."""
+    return not abs(float(x)) * 1e6 < 999_999_998
 
 
 def csv_format(rng, count):

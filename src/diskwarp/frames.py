@@ -9,9 +9,9 @@ The writers format whole arrays, not points, with numpy kernels that cut the
 digits from one table of four-digit words and pad the text with NUL bytes,
 which are dropped before a write.  An SVG frame's coordinates go through
 :func:`points_text`, which rounds every ``x, -y`` to millionths at once and
-gives the bytes of ``"%.6f"``; a frame with a value it declines (too large,
-not finite, or a possible rounding tie) is formatted with one ``%`` per
-polyline instead.  A CSV frame's rows are three byte tables side by side:
+gives the bytes of ``"%.6f"``, ties to even in exact arithmetic; a polyline
+with a value it declines (too large or not finite) is formatted by ``%``
+alone.  A CSV frame's rows are three byte tables side by side:
 ``step,`` from a table of every step, built once per file; the
 ``line_id,point_index,`` text of each row, built once per frame layout; and
 the coordinates from :func:`repr_text`, which gives the bytes of ``repr``,
@@ -79,27 +79,34 @@ _WORDS = np.stack([_QUADS[:1000] & _KEEP.view(np.uint32)[:, 0],
 
 def points_text(lines):
     """The ``points`` attribute of a polyline for each complex array in
-    ``lines``: ``"%.6f,%.6f"`` of ``x, -y`` for every point, space separated.
+    ``lines``: ``"%.6f,%.6f"`` of ``x, -y`` for every point, space separated;
+    and a mask over the values ``x, -y`` of all points of those the kernel
+    declined, not finite or with ``y = |v| * 1e6`` from 999_999_999, which
+    its 12-byte row cannot hold.  A line holding one is formatted by ``%``.
 
-    Returns None when a coordinate is not finite, when ``y = |v| * 1e6``
-    reaches 999_999_999, or when ``y`` is a half-integer: the exact product
-    may then be a rounding tie, which ``%.6f`` rounds to even.  Otherwise
-    ``floor(y) + (d > 0.5)``, with ``d = y - floor(y)`` exact, is the
-    correctly rounded value ``%.6f`` prints.  Half-integers below 2**52 are
-    floats, so rounding the product can move it onto a half-integer but
-    never across one.
+    Otherwise ``floor(y) + (d > 0.5)``, with ``d = y - floor(y)`` exact, is
+    the correctly rounded value ``%.6f`` prints: half-integers below 2**52
+    are floats, so rounding the product can move it onto a half-integer but
+    never across one.  On a half-integer the exact product decides, and a
+    tie rounds to even, as in ``%.6f``.
     """
     counts = np.array([len(pts) for pts in lines], dtype=np.int64)
     # x, -y interleaved; conjugation negates a zero imaginary part to -0.000000
     v = np.conjugate(np.concatenate(lines or [[]]), dtype=complex).view(float)
     y = np.abs(v) * 1e6
-    if not np.all(y < 999_999_999):  # also false for NaN and inf
-        return None
+    declined = ~(y < 999_999_999)  # also true for NaN and inf
+    if declined.any():
+        y[declined] = 0.0
     floor = np.floor(y)
     d = y - floor
-    if np.any(d == 0.5):
-        return None
-    low = floor.astype(np.int32) + (d > 0.5)  # millionths, below 10**9
+    up = d > 0.5
+    for i in np.flatnonzero(d == 0.5):
+        # y < 2**30, so the exact product is within 2**-24 of y: its floor is
+        # floor(y), and its fraction (num * 10**6 mod den) / den
+        num, den = abs(float(v[i])).as_integer_ratio()
+        twice = 2 * (num * 10**6 % den)
+        up[i] = twice > den or (twice == den and floor[i] % 2 == 1)
+    low = floor.astype(np.int32) + up  # millionths, below 10**9
     high = low // 1000
     low -= 1000 * high
     whole = high // 1000
@@ -110,8 +117,13 @@ def points_text(lines):
     chars[0::2, 11] = ord(",")
     chars[1::2, 11] = ord(" ")
     chars[2 * np.cumsum(counts[counts > 0]) - 1, 11] = ord("\n")
-    texts = iter(chars.tobytes().translate(None, b"\0").decode().split("\n"))
-    return [next(texts) if count else "" for count in counts]
+    pieces = iter(chars.tobytes().translate(None, b"\0").decode().split("\n"))
+    texts = [next(pieces) if count else "" for count in counts]
+    if declined.any():
+        for k in np.unique(np.repeat(np.arange(len(counts)), 2 * counts)[declined]).tolist():
+            texts[k] = (" ".join(["%.6f,%.6f"] * len(lines[k]))
+                        % tuple(np.conjugate(lines[k], dtype=complex).view(float).tolist()))
+    return texts, declined
 
 
 # repr_text's tables.  Per biased exponent E of |x| in [2**-1022, 2**50): j =
@@ -368,7 +380,8 @@ def write_frames_svg(frames, out_dir):
     """One ``frame_XXX.svg`` per step, polylines only, shared global viewBox.
 
     Returns the list of file names written.  The y axis is flipped so the
-    mathematical orientation is preserved on screen.
+    mathematical orientation is preserved on screen, and each frame's
+    coordinates are formatted by one :func:`points_text` call.
     """
     # reduced frame by frame: a copy of all frames' points at once raised peak
     # RSS by about 3 MB on the shipped configs
@@ -383,13 +396,7 @@ def write_frames_svg(frames, out_dir):
     names = []
     for step, frame in enumerate(frames):
         parts = [header]
-        lines = [pts for _, pts in frame]
-        texts = points_text(lines) or [
-            " ".join(["%.6f,%.6f"] * len(pts))
-            % tuple(np.conjugate(pts, dtype=complex).view(float).tolist())
-            for pts in lines
-        ]
-        parts.extend(polyline + text + '"/>' for text in texts)
+        parts.extend(polyline + text + '"/>' for text in points_text([pts for _, pts in frame])[0])
         parts.append("</svg>")
         name = f"frame_{step:03d}.svg"
         with open(f"{out_dir}/{name}", "w") as fh:

@@ -213,7 +213,7 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         f, g = action_and_gradient(path, config.alpha)
         return f, g.ravel().view(float)
 
-    if np.any(certify_conformal(DiscretePath(path.steps[[0, -1]])) <= CONFORMAL_MIN_DERIV):
+    if not np.all(certify_conformal(DiscretePath(path.steps[[0, -1]])) > CONFORMAL_MIN_DERIV):
         f, g = fun_grad(interior.ravel().view(float))
         _certified(_result(path, f, float(np.max(np.abs(g))), 0, False, [f]))
 
@@ -245,7 +245,7 @@ def _result(path, f, gnorm, iters, converged, history) -> GeodesicResult:
 
 def _certified(result: GeodesicResult) -> GeodesicResult:
     certificate = result.conformal_certificate
-    bad = np.nonzero(certificate <= CONFORMAL_MIN_DERIV)[0]
+    bad = np.nonzero(~(certificate > CONFORMAL_MIN_DERIV))[0]  # NaN fails too
     if len(bad):
         raise NotConformalError(
             f"step(s) {bad.tolist()} have min |phi'| <= {CONFORMAL_MIN_DERIV:.0e} "

@@ -12,6 +12,7 @@ from diskwarp.cli import run_oracle
 from diskwarp.config import load_config
 from diskwarp.frames import (CSV_HEADER, _scale, disk_mesh, points_text, repr_text,
                              warp_frames, write_frames_csv, write_frames_svg)
+from diskwarp.solver import SolverConfig, solve
 
 
 def linear_path(scales, n=4):
@@ -215,9 +216,49 @@ def _changing_layouts():
     return frames + [[]] + _awkward_frames()
 
 
+def _percent_text(lines):
+    return [" ".join("%.6f,%.6f" % (z.real, -z.imag) for z in pts) for pts in lines]
+
+
 def test_awkward_frames_take_the_kernel_and_the_fallback():
-    declined = [points_text([pts for _, pts in frame]) is None for frame in _awkward_frames()]
-    assert declined == [False, True, False, False, False, True, True]
+    """Only frames with a value out of the kernel's range decline any; the
+    exact ties of frame 5 are rounded to even by the kernel."""
+    results = [points_text([pts for _, pts in frame]) for frame in _awkward_frames()]
+    assert [declined.any() for _, declined in results] == [False, True, False, False, False,
+                                                           False, True]
+    for frame, (texts, _) in zip(_awkward_frames(), results):
+        assert texts == _percent_text([pts for _, pts in frame])
+
+
+def test_seed_0_example4a_last_frame_takes_the_kernel(config_dir):
+    """The target's c_0 = 0.0185475 is phi(0), the first point of every ray,
+    and 0.0185475 * 1e6 rounds to the half-integer 18547.5: the exact product
+    decides, and no value is declined."""
+    config = load_config(config_dir / "example4a.json")
+    result = solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps,
+                                alpha=config.alpha), config.target)
+    lines = [pts for _, pts in warp_frames(result.path, config.mesh_circles,
+                                           config.mesh_rays)[-1]]
+    y = np.abs(np.concatenate(lines).view(float)) * 1e6
+    assert np.any(y - np.floor(y) == 0.5)
+    texts, declined = points_text(lines)
+    assert not declined.any()
+    assert texts == _percent_text(lines)
+
+
+def test_a_value_from_1000_is_declined_alone(tmp_path):
+    lines = [np.array([0.25 + 0.5j, -1.5 - 0.0078125j]),
+             np.array([0.125 - 0.75j, 0.5 - 1000.0j, 3.0 + 0.0j]),
+             np.array([], dtype=complex),
+             np.array([-0.0234375 + 0.1j])]
+    texts, declined = points_text(lines)
+    assert np.flatnonzero(declined).tolist() == [7]  # -y of the line's second point
+    assert texts == _percent_text(lines)
+    frames = [[(f"line-{k}", pts) for k, pts in enumerate(lines)]]
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir(), ref.mkdir()
+    assert write_frames_svg(frames, new) == _reference_svg(frames, ref) == ["frame_000.svg"]
+    assert (new / "frame_000.svg").read_bytes() == (ref / "frame_000.svg").read_bytes()
 
 
 def test_svg_coordinate_kernel_matches_percent_format():

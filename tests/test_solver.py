@@ -261,6 +261,16 @@ def test_nonconformal_target_fails_before_optimizing():
     assert np.array_equal(result.path.steps, initial_guess(np.zeros(16), 20).steps)
 
 
+def test_nan_certificate_fails_before_optimizing():
+    # phi' = 1 + 2e308 z vanishes inside the disk; its endpoint certificate
+    # overflows to NaN, which must fail the gate rather than pass it
+    with np.errstate(all="ignore"), pytest.raises(NotConformalError) as excinfo:
+        solve(SolverConfig(n=4, num_steps=4, alpha=0.1), [0, 1.0, 1e308])
+    result = excinfo.value.result
+    assert result.iterations == 0
+    assert np.isnan(result.conformal_certificate[-1])
+
+
 def test_preconditioner_inverts_hessian_at_identity_path():
     assert checks.preconditioner(np.random.default_rng(29), 20) <= 1e-10
 
