@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError
-from .poly import _is_number, check_alpha
-from .solver import _is_integer
+from .poly import _is_integer, _is_number, check_alpha
 
 __all__ = ["ExperimentConfig", "load_config"]
 

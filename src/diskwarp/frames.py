@@ -19,8 +19,10 @@ the shortest decimal that reads back to the same double, by integer
 arithmetic on each value's rounding interval, positional from 1e-4 and in
 exponent form below; a zero is the digits 0, written positionally.  It
 scales every value by a power of ten from one table by binary exponent,
-exact from 1e-4 up.  A value it declines (subnormal, from 1e15 in magnitude,
-not finite, or a possible tie) gets ``repr`` one at a time.
+exact from 1e-4 up.  Its 24-byte rows take a head word and the digit words
+from tables; the rows of ``|x| >= 1`` and of the exponent form are then
+rearranged byte by byte.  A value it declines (subnormal, from 1e15 in
+magnitude, not finite, or a possible tie) gets ``repr`` one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import DiscretePath
-from .poly import evaluate
+from .poly import _is_integer, evaluate
 
 __all__ = ["disk_mesh", "warp_frames", "write_frames_csv", "write_frames_svg"]
 
@@ -41,8 +43,9 @@ def disk_mesh(circles: int, rays: int, samples: int = 128):
     Returns a list of ``(line_id, points)`` pairs with complex sample
     points; circles are closed (first point repeated at the end).
     """
-    if circles < 1 or rays < 1 or samples < 2:
-        raise ValueError(f"mesh needs circles, rays >= 1 and samples >= 2, got "
+    if not (all(map(_is_integer, (circles, rays, samples)))
+            and circles >= 1 and rays >= 1 and samples >= 2):
+        raise ValueError(f"mesh needs integers circles, rays >= 1 and samples >= 2, got "
                          f"({circles}, {rays}, {samples})")
     lines = []
     theta = np.linspace(0.0, 2.0 * np.pi, samples)
@@ -159,7 +162,7 @@ _T_SPLIT = _T_HIGH * _SPLIT
 _T_SPLIT -= _T_SPLIT - _T_HIGH
 # A row of text is 24 bytes: a spare NUL, the sign, "0.", "0.0", "0.00" or
 # "0.000" for |x| < 1, the first digit, then 16 digits in four words of four.
-# It is handled as three little-endian words, whose shifts move bytes.
+# The common path, 1e-4 <= |x| < 1, writes bytes 0-7 as one little-endian word.
 _U64LE = np.dtype("<u8")
 _HEAD = np.zeros((2, 21, 10, 8), np.uint8)  # bytes 0-7 by (sign, j, first digit)
 _HEAD[1, :, :, 1] = ord("-")
@@ -167,20 +170,14 @@ _HEAD[:, :, :, 7] = ord("0") + np.arange(10)
 for _j in range(17, 21):
     _HEAD[:, _j, :, 2:_j - 13] = np.frombuffer(b"0.000"[:_j - 15], np.uint8)
 _HEAD = _HEAD.view(_U64LE).ravel()
-# for 1 <= |x|: by j, the "0" bits of the digits up to the first decimal; by
-# `at`, the first `at` bytes of a row, and a "." at byte at - 1
+# for 1 <= |x|: by j, the "0" bytes of the digits up to the first decimal; by
+# `at`, the source of each byte when the bytes before byte `at` move down one
 _BYTE = np.arange(24)
-_UNITS = np.where((_BYTE >= 7) & (_BYTE <= 24 - np.arange(17)[:, None]), ord("0"), 0)
-_UNITS = _UNITS.astype(np.uint8).view(_U64LE)
-_BELOW = np.where(_BYTE < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8).view(_U64LE)
-_POINT = np.where(_BYTE == np.arange(-1, 24)[:, None], ord("."), 0).astype(np.uint8).view(_U64LE)
-# An exponent-form row is the sign, the first digit, "." unless the other 16
-# digits are all zeros, those digits, and "e-dd" or "e-ddd" in bytes 19-23:
-# bytes 0-2 by (sign, first digit, "."), and bytes 16-23 of the exponent's text
-_EXPONENT_HEAD = np.array([bytes([sign, ord("0") + first, point]).ljust(8, b"\0")
-                           for sign in (0, ord("-")) for first in range(10)
-                           for point in (0, ord("."))]).view(_U64LE)
-_EXPONENT_TAIL = np.array([(b"e-%02d" % m).rjust(8, b"\0") for m in range(309)]).view(_U64LE)
+_UNITS = ((_BYTE >= 7) & (_BYTE <= 24 - np.arange(17)[:, None])) * np.uint8(ord("0"))
+_ORDER = _BYTE + (_BYTE < np.arange(-1, 24)[:, None])
+# the exponent form's "e-dd" or "e-ddd", right-aligned in bytes 19-23, by j - 16
+_EXPONENT_TAIL = np.array([(b"e-%02d" % m).rjust(5, b"\0") for m in range(309)])
+_EXPONENT_TAIL = _EXPONENT_TAIL.view(np.uint8).reshape(-1, 5)
 
 
 def repr_text(values):
@@ -221,8 +218,9 @@ def repr_text(values):
     declined = tie | (~covered & (mag != 0))
     first, quads = _digit_words(digits)
     text = np.empty((len(v), 3), _U64LE)
+    rows = text.view(np.uint8)
     sign = np.signbit(v)
-    # clipped for j > 20, the exponent-form rows, which are overwritten below
+    # clipped for j > 20: an arbitrary head, which the exponent block rewrites
     text[:, 0] = _HEAD.take(sign * 210 + 10 * j + first, mode="clip")
     text.view(np.uint32)[:, 2:] = quads
     ones = np.flatnonzero(j <= 16)
@@ -230,15 +228,19 @@ def repr_text(values):
         # keep the zeros of the integer part and of the first decimal, and move
         # the bytes before the first decimal down one to make room for "."
         at = 24 - j[ones]
-        rows = text[ones] | _UNITS[j[ones]]
-        before = rows & _BELOW[at]
-        rows ^= before
-        rows |= _POINT[at] | (before >> np.uint64(8))
-        rows[:, :2] |= before[:, 1:] << np.uint64(56)
-        text[ones] = rows
+        moved = np.take_along_axis(rows[ones] | _UNITS[j[ones]], _ORDER[at], 1)
+        moved[np.arange(ones.size), at - 1] = ord(".")
+        rows[ones] = moved
     small = np.flatnonzero(covered & (mag < 1e-4))
     if small.size:
-        text[small] = _exponent_rows(sign[small], first[small], quads[small], j[small])
+        # "-d.", the other 16 digits and "e-XX": "." unless those are all zeros
+        exponent = rows[small]
+        exponent[:, 0] = sign[small] * np.uint8(ord("-"))
+        exponent[:, 1] = ord("0") + first[small]
+        exponent[:, 2] = (exponent[:, 8] > 0) * np.uint8(ord("."))
+        exponent[:, 3:19] = exponent[:, 8:]
+        exponent[:, 19:] = _EXPONENT_TAIL[j[small] - 16]
+        rows[small] = exponent
         # There j >= 20 and T need not be exact: hi + lo misses X by x' times
         # T's error (2**-49) and the roundings of x' * T_LOW (2**-50) and of the
         # sum into lo (2**-49), 5 * 2**-50 in all; lo +- h misses X +- h by
@@ -252,7 +254,7 @@ def repr_text(values):
     if declined.any():
         text[declined] = np.array(list(map(repr, v[declined].tolist())),
                                   "S24").view(_U64LE).reshape(-1, 3)
-    return text.view(np.uint8), declined
+    return rows, declined
 
 
 def _scale(x):
@@ -275,18 +277,6 @@ def _scale(x):
     lo = ((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
     lo += mantissa * _T_LOW.take(index)
     return _J.take(exponent) - less, hi, lo, scale * 2.0**-53
-
-
-def _exponent_rows(negative, first, quads, j):
-    """Rows of ``repr``'s exponent form ``-d.ddde-XX``, from the sign, the
-    first digit and the four words of the other 16 digits."""
-    words = quads.view(_U64LE)
-    rows = np.empty((len(first), 3), _U64LE)
-    rows[:, 0] = (_EXPONENT_HEAD.take(20 * negative + 2 * first + (quads[:, 0] > 0))
-                  | words[:, 0] << np.uint64(24))
-    rows[:, 1] = words[:, 0] >> np.uint64(40) | words[:, 1] << np.uint64(24)
-    rows[:, 2] = words[:, 1] >> np.uint64(40) | _EXPONENT_TAIL.take(j - 16)
-    return rows
 
 
 def _shortest(hi, lo, h):

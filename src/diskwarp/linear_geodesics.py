@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchFailureError, SingularInertiaError
-from .poly import check_alpha
+from .poly import _is_integer, check_alpha
 
 __all__ = [
     "LinearState",
@@ -103,8 +103,8 @@ def integrate_reduced(state: LinearState, alpha: float, duration: float, steps: 
     Returns a (steps+1, 2) complex array of (coeff, vel) pairs at the nodes.
     """
     alpha = check_alpha(alpha)
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    if not (_is_integer(steps) and steps >= 1):
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     h = duration / steps
     out = np.empty((steps + 1, 2), dtype=complex)
     c, a = state.coeff, state.vel
@@ -206,7 +206,7 @@ def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
     """
     alpha = check_alpha(alpha)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0) or np.any(ts > 1):
+    if not np.all((ts >= 0) & (ts <= 1)):  # NaN fails too
         raise ValueError("query times must lie in [0, 1]")
     c0, c1 = _endpoints(c0, c1, alpha)
     if alpha == 0.0:

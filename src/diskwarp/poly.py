@@ -90,6 +90,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    # nor is True a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_alpha(alpha: float) -> float:
     """The metric weight ``alpha`` as a float; ValueError unless it is a
     finite nonnegative real number (a bool is not)."""

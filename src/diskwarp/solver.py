@@ -23,7 +23,7 @@ import numpy as np
 
 from .action import DiscretePath, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
-from .poly import _FLOAT_MAX, _is_number, as_coeffs, check_alpha, derivative, evaluate
+from .poly import _FLOAT_MAX, _is_integer, _is_number, as_coeffs, check_alpha, derivative, evaluate
 
 __all__ = [
     "SolverConfig",
@@ -66,11 +66,6 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be a positive finite number, got {self.grad_tol!r}")
         if not (_is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-
-
-def _is_integer(value) -> bool:
-    # bool subclasses int, but True is not a count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -213,9 +208,10 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         f, g = action_and_gradient(path, config.alpha)
         return f, g.ravel().view(float)
 
-    if not np.all(certify_conformal(DiscretePath(path.steps[[0, -1]])) > CONFORMAL_MIN_DERIV):
-        f, g = fun_grad(interior.ravel().view(float))
-        _certified(_result(path, f, float(np.max(np.abs(g))), 0, False, [f]))
+    with np.errstate(all="ignore"):  # an overflowing target's NaN certificate fails
+        if not np.all(certify_conformal(DiscretePath(path.steps[[0, -1]])) > CONFORMAL_MIN_DERIV):
+            f, g = fun_grad(interior.ravel().view(float))
+            _certified(_result(path, f, float(np.max(np.abs(g))), 0, False, [f]))
 
     x, f, gnorm, iters, history, converged = _lbfgs(
         fun_grad,

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +37,9 @@ def test_mesh_counts_and_radii():
 
 
 def test_mesh_validation():
-    with pytest.raises(ValueError):
-        disk_mesh(0, 4)
-    with pytest.raises(ValueError):
-        disk_mesh(4, 4, samples=1)
+    for args in [(0, 4), (4, 4, 1), (2.5, 3), (2, 3, 2.5), (True, True)]:
+        with pytest.raises(ValueError):
+            disk_mesh(*args)
 
 
 def test_identity_frames_reproduce_mesh():
@@ -216,6 +216,14 @@ def _changing_layouts():
     return frames + [[]] + _awkward_frames()
 
 
+def _solved_frames(name):
+    """The frames of a shipped config's solve."""
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    result = solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps,
+                                alpha=config.alpha), config.target)
+    return warp_frames(result.path, config.mesh_circles, config.mesh_rays)
+
+
 def _percent_text(lines):
     return [" ".join("%.6f,%.6f" % (z.real, -z.imag) for z in pts) for pts in lines]
 
@@ -230,15 +238,11 @@ def test_awkward_frames_take_the_kernel_and_the_fallback():
         assert texts == _percent_text([pts for _, pts in frame])
 
 
-def test_seed_0_example4a_last_frame_takes_the_kernel(config_dir):
+def test_seed_0_example4a_last_frame_takes_the_kernel():
     """The target's c_0 = 0.0185475 is phi(0), the first point of every ray,
     and 0.0185475 * 1e6 rounds to the half-integer 18547.5: the exact product
     decides, and no value is declined."""
-    config = load_config(config_dir / "example4a.json")
-    result = solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps,
-                                alpha=config.alpha), config.target)
-    lines = [pts for _, pts in warp_frames(result.path, config.mesh_circles,
-                                           config.mesh_rays)[-1]]
+    lines = [pts for _, pts in _solved_frames("example4a")[-1]]
     y = np.abs(np.concatenate(lines).view(float)) * 1e6
     assert np.any(y - np.floor(y) == 0.5)
     texts, declined = points_text(lines)
@@ -324,7 +328,9 @@ def test_csv_kernel_declines_no_oracle_coordinate(tmp_path, config_dir, name):
     warp_frames(linear_path([1.0, -0.5j, 1.5 + 1e-9j]), circles=2, rays=3, samples=16),
     warp_frames(linear_path([0.5, 0.25j]), circles=2, rays=2, samples=8),  # extent stays 1
     _changing_layouts(),
-], ids=["awkward", "warped", "inside", "changing-layouts"])
+    # 752 values with |x| >= 1 and 5,976 in exponent form
+    _solved_frames("example4a"),
+], ids=["awkward", "warped", "inside", "changing-layouts", "example4a"])
 def test_writers_match_per_point_reference(tmp_path, frames):
     new, ref = tmp_path / "new", tmp_path / "ref"
     new.mkdir(), ref.mkdir()

@@ -44,6 +44,12 @@ def test_rest_state_stays_at_rest():
     assert np.allclose(traj[:, 1], 0.0)
 
 
+@pytest.mark.parametrize("steps", [0, 2.5, True])
+def test_integrate_reduced_rejects_bad_steps(steps):
+    with pytest.raises(ValueError):
+        integrate_reduced(LinearState(1.0, 0.5), 0.1, 1.0, steps)
+
+
 def test_scaling_trajectory_squares_affine():
     # velocity implied by conservation for endpoints 1 -> 0.5 at alpha = 0
     q0, q1 = 1.0, 0.25
@@ -196,7 +202,7 @@ def test_branch_failure_for_large_rotation():
 
 
 def test_closed_form_rejects_bad_times():
-    with pytest.raises(ValueError):
-        closed_form(1.0, 0.5, 0.0, [-0.1])
-    with pytest.raises(ValueError):
-        closed_form(1.0, 0.5, 0.0, [1.5])
+    for alpha in (0.0, 0.1):
+        for ts in ([-0.1], [1.5], [np.nan]):
+            with pytest.raises(ValueError):
+                closed_form(1.0, 0.5, alpha, ts)

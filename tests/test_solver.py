@@ -264,7 +264,7 @@ def test_nonconformal_target_fails_before_optimizing():
 def test_nan_certificate_fails_before_optimizing():
     # phi' = 1 + 2e308 z vanishes inside the disk; its endpoint certificate
     # overflows to NaN, which must fail the gate rather than pass it
-    with np.errstate(all="ignore"), pytest.raises(NotConformalError) as excinfo:
+    with pytest.raises(NotConformalError) as excinfo:
         solve(SolverConfig(n=4, num_steps=4, alpha=0.1), [0, 1.0, 1e308])
     result = excinfo.value.result
     assert result.iterations == 0
