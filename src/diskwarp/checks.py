@@ -18,8 +18,8 @@ from .frames import points_text, repr_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity, initial_velocity,
                                integrate_reduced)
 from .poly import adjoint_dz, derivative, evaluate, inner_l2
-from .solver import (_certificate_grid, _inverse_hessian_at_identity, certify_conformal,
-                     identity_map)
+from .solver import (_ANGLES, _RADII, _certificate_grid, _inverse_hessian_at_identity,
+                     certify_conformal, identity_map)
 
 __all__ = ["BATTERY", "adjoint", "action_modes", "gradient", "preconditioner", "conservation",
            "shooting", "certificate", "svg_format", "csv_format"]
@@ -135,37 +135,36 @@ def shooting(rng, count, alphas=(0.0, 0.1, 1.0, 10.0)):
 
 def certificate(rng, count):
     """Number of values of :func:`certify_conformal` that differ in any bit
-    from the least ``|p'|`` by Horner's rule over the whole grid.
+    from the least ``|p'|`` by Horner's rule over its whole 64 x 8 grid.
 
-    Each trial draws ``angles`` from {7, 64}, ``radii`` from 1 to 8 and a
-    degree bound n from 3 to ``3 * angles``, so that the ring FFT runs both
-    unfolded and folded mod ``angles``, and certifies three paths:
-    coefficients decaying at a random rate after the identity and a linear
-    map (flat rows), with a NaN in one row on every other trial;
-    ``z + c z**k`` with ``c < 0`` and k - 1 a divisor of ``angles``, whose
-    ``|p'|`` is least at k - 1 grid directions of each ring, where Horner's
-    values differ in the last bits; and the identity followed by
-    ``z + 0.6 w z**2`` for a random grid direction w, whose second row can
-    have one candidate point alone.
+    Each trial draws a degree bound n, up to 64 on even trials and 65 to 191
+    on odd ones, so that the ring FFT runs both unfolded and folded mod the
+    grid's 64 directions, and certifies three paths: coefficients decaying
+    at a random rate after the identity and a linear map (flat rows), with a
+    NaN in one row on every other pair of trials; ``z + c z**k`` with ``c <
+    0`` and k - 1 a divisor of 64, whose ``|p'|`` is least at k - 1 grid
+    directions of each ring, where Horner's values differ in the last bits;
+    and the identity followed by ``z + 0.6 w z**2`` for a random grid
+    direction w, whose second row can have one candidate point alone.
     """
     wrong = 0
     for trial in range(count):
-        angles, radii = int(rng.choice([7, 64])), int(rng.integers(1, 9))
-        n = int(rng.integers(3, 3 * angles))
+        n = int(rng.integers(_ANGLES + 1, 3 * _ANGLES) if trial % 2
+                else rng.integers(3, _ANGLES + 1))
         decaying = _steps(rng, (4, n)) * rng.uniform(0.2, 1.0) ** np.arange(n)
         decaying[:2] = identity_map(n)
         decaying[1, 1] = _near(rng, 1.0)
-        if trial % 2:
+        if trial % 4 >= 2:
             decaying[rng.integers(4), rng.integers(n)] = np.nan
-        k = 1 + int(rng.choice([q for q in range(1, n - 1) if angles % q == 0]))
+        k = 1 + int(rng.choice([q for q in range(1, n - 1) if _ANGLES % q == 0]))
         ties = np.tile(identity_map(n), (2, 1))
         ties[:, k] = -rng.uniform(0.1, 0.9, 2) / k
         single = np.tile(identity_map(n), (2, 1))
-        single[1, 2] = 0.6 * np.exp(2j * np.pi * rng.integers(angles) / angles)
-        grid = _certificate_grid(angles, radii, n)[0]
+        single[1, 2] = 0.6 * np.exp(2j * np.pi * rng.integers(_ANGLES) / _ANGLES)
+        grid = _certificate_grid(_ANGLES, _RADII, n)[0]
         for steps in (decaying, ties, single):
             full = np.min(np.abs(evaluate(derivative(steps), grid)), axis=-1)
-            screened = certify_conformal(DiscretePath(steps), angles, radii)
+            screened = certify_conformal(DiscretePath(steps))
             wrong += int(np.sum(screened.view(np.uint64) != full.view(np.uint64)))
     return wrong
 

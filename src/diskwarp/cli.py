@@ -204,38 +204,38 @@ def main(argv=None) -> int:
             failures = run_check()
             print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
             return 0 if failures == 0 else 1
-        if args.verb == "sweep":
-            config = load_config(args.config)
+        # sweep, the one verb left: the subparsers require a verb
+        config = load_config(args.config)
+        try:
+            alphas = [float(v) for v in args.alpha.split(",") if v]
+        except ValueError as exc:
+            raise ConfigValidationError(f"--alpha: {exc}") from None
+        if not alphas:
+            raise ConfigValidationError("--alpha: empty alpha list")
+        # every variant and its directory are checked before the first solve
+        variants = {
+            f"alpha-{alpha:g}":
+                replace(config, name=f"{config.name}-alpha{alpha:g}", alpha=alpha)
+            for alpha in alphas
+        }
+        if len(variants) < len(alphas):
+            raise ConfigValidationError(
+                f"--alpha: values in {args.alpha} that agree to 6 digits share a directory"
+            )
+        base = _output_dir(args.output or config.output or f"out/{config.name}")
+        status = 0
+        for dir_name, variant in variants.items():
+            alpha = variant.alpha
             try:
-                alphas = [float(v) for v in args.alpha.split(",") if v]
-            except ValueError as exc:
-                raise ConfigValidationError(f"--alpha: {exc}") from None
-            if not alphas:
-                raise ConfigValidationError("--alpha: empty alpha list")
-            # every variant and its directory are checked before the first solve
-            variants = {
-                f"alpha-{alpha:g}":
-                    replace(config, name=f"{config.name}-alpha{alpha:g}", alpha=alpha)
-                for alpha in alphas
-            }
-            if len(variants) < len(alphas):
-                raise ConfigValidationError(
-                    f"--alpha: values in {args.alpha} that agree to 6 digits share a directory"
+                result, out_dir, elapsed = run_experiment(variant, base / dir_name)
+                print(
+                    f"alpha={alpha:<8g} action={result.action:<14.9g} "
+                    f"iterations={result.iterations:<5d} {elapsed:.2f} s -> {out_dir}"
                 )
-            base = _output_dir(args.output or config.output or f"out/{config.name}")
-            status = 0
-            for dir_name, variant in variants.items():
-                alpha = variant.alpha
-                try:
-                    result, out_dir, elapsed = run_experiment(variant, base / dir_name)
-                    print(
-                        f"alpha={alpha:<8g} action={result.action:<14.9g} "
-                        f"iterations={result.iterations:<5d} {elapsed:.2f} s -> {out_dir}"
-                    )
-                except (NoConvergenceError, NotConformalError) as exc:
-                    print(f"alpha={alpha:<8g} FAILED: {exc}")
-                    status = max(status, 2 if isinstance(exc, NoConvergenceError) else 3)
-            return status
+            except (NoConvergenceError, NotConformalError) as exc:
+                print(f"alpha={alpha:<8g} FAILED: {exc}")
+                status = max(status, 2 if isinstance(exc, NoConvergenceError) else 3)
+        return status
     except (ConfigParseError, ConfigValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -248,7 +248,6 @@ def main(argv=None) -> int:
     except BranchFailureError as exc:
         print(f"branch failure: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

@@ -37,31 +37,30 @@ __all__ = ["disk_mesh", "warp_frames", "write_frames_csv", "write_frames_svg"]
 CSV_HEADER = "step,line_id,point_index,x,y"
 
 
-def disk_mesh(circles: int, rays: int, samples: int = 128):
+def disk_mesh(circles: int, rays: int):
     """Polyline sample points of the unit-disk mesh.
 
-    Returns a list of ``(line_id, points)`` pairs with complex sample
-    points; circles are closed (first point repeated at the end).
+    Returns a list of ``(line_id, points)`` pairs with 128 complex sample
+    points each; circles are closed (first point repeated at the end).
     """
-    if not (all(map(_is_integer, (circles, rays, samples)))
-            and circles >= 1 and rays >= 1 and samples >= 2):
-        raise ValueError(f"mesh needs integers circles, rays >= 1 and samples >= 2, got "
-                         f"({circles}, {rays}, {samples})")
+    if not (_is_integer(circles) and _is_integer(rays) and circles >= 1 and rays >= 1):
+        raise ValueError(f"mesh needs integers circles, rays >= 1, got ({circles}, {rays})")
     lines = []
-    theta = np.linspace(0.0, 2.0 * np.pi, samples)
+    theta = np.linspace(0.0, 2.0 * np.pi, 128)
     for j in range(1, circles + 1):
         radius = j / circles
         lines.append((f"circle-{j:02d}", radius * np.exp(1j * theta)))
-    radii = np.linspace(0.0, 1.0, samples)
+    radii = np.linspace(0.0, 1.0, 128)
     for m in range(rays):
         angle = 2.0 * np.pi * m / rays
         lines.append((f"ray-{m:02d}", radii * np.exp(1j * angle)))
     return lines
 
 
-def warp_frames(path: DiscretePath, circles: int, rays: int, samples: int = 128):
-    """One frame per step: each mesh line mapped through the step polynomial."""
-    mesh = disk_mesh(circles, rays, samples)
+def warp_frames(path: DiscretePath, circles: int, rays: int):
+    """One frame per step: each line of ``disk_mesh(circles, rays)`` mapped
+    through the step polynomial."""
+    mesh = disk_mesh(circles, rays)
     images = evaluate(path.steps, [pts for _, pts in mesh])
     return [[(line_id, pts) for (line_id, _), pts in zip(mesh, step)] for step in images]
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchFailureError, SingularInertiaError
-from .poly import _is_integer, check_alpha
+from .poly import _FLOAT_MAX, _is_integer, _is_number, check_alpha
 
 __all__ = [
     "LinearState",
@@ -103,6 +103,8 @@ def integrate_reduced(state: LinearState, alpha: float, duration: float, steps: 
     Returns a (steps+1, 2) complex array of (coeff, vel) pairs at the nodes.
     """
     alpha = check_alpha(alpha)
+    if not (_is_number(duration) and abs(duration) <= _FLOAT_MAX):
+        raise ValueError(f"duration must be a finite real number, got {duration!r}")
     if not (_is_integer(steps) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     h = duration / steps
@@ -179,11 +181,13 @@ def _minimizer(c0: complex, c1: complex, alpha: float):
 
 
 def _endpoints(c0, c1, alpha: float) -> tuple[complex, complex]:
-    """The endpoints as complex numbers.  At ``alpha = 0`` they must be
-    nonzero and less than a quarter turn apart, or the minimizer runs through
-    ``c = 0`` (BranchFailureError); at alpha > 0 :func:`_minimizer` checks them.
-    """
+    """The endpoints as complex numbers, finite or ValueError.  At ``alpha =
+    0`` they must be nonzero and less than a quarter turn apart, or the
+    minimizer runs through ``c = 0`` (BranchFailureError); at alpha > 0
+    :func:`_minimizer` checks them."""
     c0, c1 = complex(c0), complex(c1)
+    if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
+        raise ValueError(f"endpoints must be finite, got {c0} and {c1}")
     if alpha == 0.0 and (c0 == 0 or (c1 / c0).real <= 0):
         raise BranchFailureError(
             f"the geodesic from {c0} to {c1} at alpha = 0 reaches c = 0: the endpoints "
@@ -232,7 +236,7 @@ def initial_velocity(c0: complex, c1: complex, alpha: float) -> complex:
     """Reduced velocity ``a = (dc/dt) / c`` at t = 0 of the geodesic from c0
     to c1, the path :func:`closed_form` evaluates, in closed form: at
     ``alpha = 0`` it is ``((c1/c0)**2 - 1) / 2``; at ``alpha > 0`` it follows
-    from the invariants.  Raises BranchFailureError where closed_form does.
+    from the invariants.  Raises where closed_form does.
     """
     alpha = check_alpha(alpha)
     c0, c1 = _endpoints(c0, c1, alpha)

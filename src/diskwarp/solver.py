@@ -36,9 +36,10 @@ __all__ = [
     "solve",
 ]
 
-# A step is declared non-conformal when min |phi'| on the sample grid is at
-# or below this threshold.
+# A step is declared non-conformal when min |phi'| on the sample grid, of
+# _ANGLES directions on _RADII rings and the center, is at or below this threshold.
 CONFORMAL_MIN_DERIV = 1e-3
+_ANGLES, _RADII = 64, 8
 
 # Round-off allowance of the line search's second acceptance test, in ulps of
 # the objective (see _lbfgs).
@@ -109,20 +110,19 @@ def initial_guess(target, num_steps: int) -> DiscretePath:
     return DiscretePath(steps)
 
 
-def certify_conformal(path: DiscretePath, angles: int = 64, radii: int = 8) -> np.ndarray:
+def certify_conformal(path: DiscretePath) -> np.ndarray:
     """Per-step minimum of |phi'| over a polar grid of the closed disk.
 
-    The grid has ``angles`` equispaced directions and rings of radius ``j/R``
-    for ``j = 1..radii`` plus the center.  The boundary is always sampled,
-    but the minimum modulus of a holomorphic derivative can sit strictly
-    inside the disk, hence the interior rings.  Sampling is a certification
-    heuristic, not a proof.  ValueError unless ``angles`` and ``radii`` are
-    integers >= 1.
+    The grid has 64 equispaced directions on rings of radius ``j/8``, ``j =
+    1..8``, and the center.  The boundary is always sampled, but the minimum
+    modulus of a holomorphic derivative can sit strictly inside the disk,
+    hence the interior rings.  Sampling is a certification heuristic, not a
+    proof; ``evaluate(derivative(path.steps), z)`` samples a denser grid z.
 
     The values are those of Horner's rule on the whole grid, bit for bit,
     but Horner runs only at the points where a step's minimum can be.  On the
     ring of radius r, ``phi'(r w**m) = sum_j d_j r**j w**(j m)`` with ``w =
-    exp(2 pi i / M)`` and M = ``angles`` is one inverse FFT of the ring-scaled
+    exp(2 pi i / M)`` and M = 64 is one inverse FFT of the ring-scaled
     coefficients ``d_j r**j``, folded mod M when the degree bound n exceeds M.
     This estimate E and the Horner values H differ by less than half the
     margin ``(n + M) 2**-40 sum_j |d_j|``: complex Horner at ``|z| <= 1`` errs
@@ -135,20 +135,18 @@ def certify_conformal(path: DiscretePath, angles: int = 64, radii: int = 8) -> n
     sum to at most the margin (the identity, a linear map), or that holds a
     NaN or an infinity, takes the whole grid.
     """
-    if not (_is_integer(angles) and angles >= 1 and _is_integer(radii) and radii >= 1):
-        raise ValueError(f"angles and radii must be integers >= 1, got {angles!r} and {radii!r}")
     d = derivative(path.steps)
     rows, n = d.shape
-    grid, powers = _certificate_grid(angles, radii, n)
+    grid, powers = _certificate_grid(_ANGLES, _RADII, n)
     moduli = np.abs(d)
     tail = np.sum(moduli[:, 1:], axis=1)
-    margin = (n + angles) * (2.0**-40 * (moduli[:, 0] + tail) + np.finfo(float).tiny)
+    margin = (n + _ANGLES) * (2.0**-40 * (moduli[:, 0] + tail) + np.finfo(float).tiny)
     flat = ~(tail > margin)  # NaN compares false: a NaN or an infinity is flat
     minima = np.empty(rows)
     if flat.any():
         minima[flat] = np.min(np.abs(evaluate(d[flat], grid)), axis=-1)
     if not flat.all():
-        estimate = _ring_estimate(d[~flat], powers, angles)
+        estimate = _ring_estimate(d[~flat], powers, _ANGLES)
         # an estimate that overflowed to NaN makes every point a candidate
         near = ~(estimate > (estimate.min(axis=1) + margin[~flat])[:, None])
         # Never one point: for a single row at a single point numpy's complex
@@ -161,7 +159,7 @@ def certify_conformal(path: DiscretePath, angles: int = 64, radii: int = 8) -> n
 
 
 def _ring_estimate(d: np.ndarray, powers: np.ndarray, angles: int) -> np.ndarray:
-    """``|p'|`` at every point of the grid of :func:`certify_conformal`, for
+    """``|p'|`` at every point of a grid of :func:`_certificate_grid`, for
     each coefficient row of ``d``, from one inverse FFT per ring."""
     rows, n = d.shape
     terms = d[:, None, :] * powers
@@ -177,9 +175,9 @@ def _ring_estimate(d: np.ndarray, powers: np.ndarray, angles: int) -> np.ndarray
 
 @lru_cache(maxsize=64)
 def _certificate_grid(angles: int, radii: int, n: int):
-    """The polar grid of :func:`certify_conformal`, center first and then ring
-    by ring, and each ring's powers ``r**j`` for ``j < n`` as complex numbers,
-    which keeps the screen's product in one dtype; both cached and read-only."""
+    """A polar grid of ``angles`` directions on ``radii`` rings, center first
+    and then ring by ring, and each ring's powers ``r**j`` (``j < n``) as
+    complex numbers for a screen product of one dtype; cached, read-only."""
     theta = 2.0 * np.pi * np.arange(angles) / angles
     rings = np.arange(1, radii + 1) / radii
     grid = np.concatenate([[0.0 + 0.0j], (rings[:, None] * np.exp(1j * theta)[None, :]).ravel()])
@@ -276,9 +274,11 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
     converged); the history lists f at x0 and at every accepted iterate.
     ``inv_hess`` maps a gradient to its image under ``H0``, the initial
     inverse Hessian of the two-loop recursion (scaled there by ``s.y / y.H0 y``
-    of the latest pair) and of the steepest-descent fallback.  The loop stops
-    on convergence, on the iteration budget, or when a line search runs out of
-    backtracks.
+    of the latest pair), which is positive definite; as only pairs with ``s.y
+    > 0`` are kept, so is the two-loop matrix, and every direction descends
+    (Nocedal and Wright, *Numerical Optimization*, 7.2).  The loop stops on
+    convergence, on the iteration budget, or when a line search runs out of
+    backtracks, as one with no trials does after a slope that is not negative.
 
     A trial step passes the Armijo test or the round-off test of Hager and
     Zhang's approximate Wolfe conditions (SIAM J. Optim. 16, 2005): f rose
@@ -299,14 +299,10 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
     while gnorm > grad_tol and iters < max_iters:
         d = _two_loop_direction(g, pairs, inv_hess)
         slope = float(np.dot(g, d))
-        if slope >= 0:  # stale curvature pairs; fall back to steepest descent
-            pairs.clear()
-            d = -inv_hess(g)
-            slope = float(np.dot(g, d))
 
         step = 1.0 if iters > 0 else min(1.0, 1.0 / (1.0 + np.linalg.norm(g)))
         roundoff = _ROUNDOFF_ULPS * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(60):
+        for _ in range(60 if slope < 0 else 0):
             x_new = x + step * d
             f_new, g_new = fun_grad(x_new)
             if f_new <= f + armijo * step * slope or (
@@ -318,18 +314,20 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
         else:
             break
 
-        s = x_new - x
-        y = g_new - g
-        sy = float(np.dot(s, y))
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
-
+        _keep_pair(pairs, x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
         history.append(f)
         gnorm = float(np.max(np.abs(g)))
         iters += 1
 
     return x, f, gnorm, iters, history, gnorm <= grad_tol
+
+
+def _keep_pair(pairs, s, y):
+    """Append ``(s, y, 1 / s.y)`` if ``s.y`` is positive beyond round-off."""
+    sy = float(np.dot(s, y))
+    if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        pairs.append((s, y, 1.0 / sy))
 
 
 def _two_loop_direction(g, pairs, inv_hess):

@@ -75,6 +75,8 @@ def test_discrete_lagrangian_rejects_bad_step():
         discrete_lagrangian(z, z, 0.0, 1.0)
     with pytest.raises(ValueError):
         discrete_lagrangian(z, z, -0.1, 1.0)
+    with pytest.raises(ValueError, match="share a degree bound"):
+        discrete_lagrangian(z, np.array([0, 1, 0.5]), 0.1, 1.0)
 
 
 def test_constant_path_has_zero_action():

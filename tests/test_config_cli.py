@@ -67,6 +67,14 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, mesh={"circle": 3}))
     with pytest.raises(ConfigValidationError, match="output"):
         load_config(write_config(tmp_path, output=["out"]))
+    with pytest.raises(ConfigValidationError, match="'mesh' must be an object"):
+        load_config(write_config(tmp_path, mesh=[2, 4]))
+    with pytest.raises(ConfigValidationError, match="target must be a list"):
+        load_config(write_config(tmp_path, target="z"))
+    with pytest.raises(ConfigParseError, match="top level must be an object"):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        load_config(path)
     with pytest.raises(ConfigValidationError, match="missing"):
         path = tmp_path / "missing.json"
         path.write_text('{"name": "x"}')
@@ -200,6 +208,9 @@ def test_cli_unencodable_output_directory_is_a_config_error(tmp_path):
         assert proc.stderr.startswith(b"config error: output directory 'out/caf\\xe9"), proc.stderr
         assert proc.stdout == b""
     assert list(work.iterdir()) == []
+    # a lone surrogate encodes in no filesystem encoding, in process too
+    with pytest.raises(ConfigValidationError, match="cannot be encoded"):
+        cli_module._output_dir("out/\ud800")
 
 
 def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch, capsys):

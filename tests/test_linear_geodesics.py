@@ -44,10 +44,12 @@ def test_rest_state_stays_at_rest():
     assert np.allclose(traj[:, 1], 0.0)
 
 
-@pytest.mark.parametrize("steps", [0, 2.5, True])
-def test_integrate_reduced_rejects_bad_steps(steps):
+@pytest.mark.parametrize("duration, steps", [
+    (1.0, 0), (1.0, 2.5), (1.0, True), (np.nan, 10), (np.inf, 10), (True, 10), (10**400, 10),
+], ids=["0", "2.5", "True", "duration-nan", "duration-inf", "duration-True", "duration-huge"])
+def test_integrate_reduced_rejects_bad_steps(duration, steps):
     with pytest.raises(ValueError):
-        integrate_reduced(LinearState(1.0, 0.5), 0.1, 1.0, steps)
+        integrate_reduced(LinearState(1.0, 0.5), 0.1, duration, steps)
 
 
 def test_scaling_trajectory_squares_affine():
@@ -202,7 +204,13 @@ def test_branch_failure_for_large_rotation():
 
 
 def test_closed_form_rejects_bad_times():
+    """And non-finite endpoints, which initial_velocity rejects too."""
     for alpha in (0.0, 0.1):
         for ts in ([-0.1], [1.5], [np.nan]):
             with pytest.raises(ValueError):
                 closed_form(1.0, 0.5, alpha, ts)
+        for c0, c1 in ((1.0, np.nan), (1.0, np.inf), (np.inf, 0.5), (complex(1, np.nan), 0.5)):
+            with pytest.raises(ValueError):
+                closed_form(c0, c1, alpha, [0.0, 0.5, 1.0])
+            with pytest.raises(ValueError):
+                initial_velocity(c0, c1, alpha)

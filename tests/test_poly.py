@@ -148,6 +148,8 @@ def test_as_coeffs_padding_and_validation():
     assert np.allclose(as_coeffs([1, 2], 4), [1, 2, 0, 0])
     with pytest.raises(ValueError):
         as_coeffs([1, 2, 3], 2)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        as_coeffs([[1, 2], [3, 4]])
 
 
 def test_evaluate_horner():

@@ -1,5 +1,6 @@
 """Two-point geodesic solver."""
 
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,11 @@ def test_certify_identity_and_scalings():
     assert np.allclose(certify_conformal(DiscretePath(steps)), scales)
 
 
-def full_grid_minima(steps, angles=64, radii=8):
-    """The certificate by Horner's rule at every point of the grid, which
-    certify_conformal must give bit for bit."""
-    grid = solver_module._certificate_grid(angles, radii, steps.shape[1])[0]
+def full_grid_minima(steps):
+    """The certificate by Horner's rule at every point of the 64 x 8 grid,
+    which certify_conformal must give bit for bit."""
+    grid = solver_module._certificate_grid(solver_module._ANGLES, solver_module._RADII,
+                                           steps.shape[1])[0]
     return np.min(np.abs(evaluate(derivative(steps), grid)), axis=-1)
 
 
@@ -84,7 +86,7 @@ def test_certify_samples_interior_rings():
     steps = np.zeros((2, 3), dtype=complex)
     steps[:, 1] = 1.0
     steps[1, 2] = 0.6 * np.exp(2j * PI / 64)
-    minima = certify_conformal(DiscretePath(steps), angles=64, radii=8)
+    minima = certify_conformal(DiscretePath(steps))
     assert np.array_equal(minima, full_grid_minima(steps))
     assert minima[0] == 1.0
     assert minima[1] == pytest.approx(abs(1 - 1.2 * 0.875), abs=1e-12)
@@ -92,17 +94,11 @@ def test_certify_samples_interior_rings():
     assert minima[1] == pytest.approx(dense)
 
 
-def test_certify_rejects_invalid_grids():
-    # phi' = 1 - z/0.75 vanishes at z = 0.75 on the default grid; a grid of the
-    # center alone would pass the map
+def test_certify_samples_the_ring_through_a_zero():
+    # phi' = 1 - z/0.75 vanishes at z = 0.75, a point of the 64 x 8 grid; a
+    # grid of the center alone would pass the map
     path = DiscretePath([[0, 1, -1 / 1.5]] * 2)
     assert np.array_equal(certify_conformal(path), [0.0, 0.0])
-    for bad in ({"angles": 0}, {"radii": 0}, {"angles": -3}, {"angles": 2.5},
-                {"radii": True}, {"angles": 64.0}, {"radii": None}):
-        with pytest.raises(ValueError):
-            certify_conformal(path, **bad)
-    assert np.array_equal(certify_conformal(path, angles=np.int64(64), radii=np.int32(8)),
-                          [0.0, 0.0])
 
 
 def test_certificate_matches_full_grid_horner_on_random_paths():
@@ -357,3 +353,27 @@ def test_iteration_count_does_not_grow_with_mesh(name, num_steps, degree_bound):
                    config.target)
     assert result.converged and result.grad_norm <= 1e-8
     assert result.iterations <= 30
+
+
+def test_lbfgs_directions_descend():
+    """The two-loop direction is a descent direction for any gradient, which
+    is why the optimizer needs no steepest-descent restart: the initial
+    inverse Hessian is positive definite and only pairs with ``s.y > 0`` are
+    kept.  Half the drawn pairs have ``s.y <= 0``; keeping one of them can
+    make the two-loop matrix indefinite."""
+    rng = np.random.default_rng(43)
+    kept = 0
+    for _ in range(200):
+        num_steps, n = int(rng.integers(2, 25)), int(rng.integers(2, 17))
+        alpha = float(rng.choice([0.0, 0.01, 1.0, 1000.0]))
+        inv_hess = solver_module._inverse_hessian_at_identity(n, num_steps, alpha)
+        size = 2 * n * (num_steps - 1)
+        pairs = deque(maxlen=12)
+        for _ in range(int(rng.integers(1, 20))):
+            s, y = rng.standard_normal(size), rng.standard_normal(size)
+            solver_module._keep_pair(pairs, s, y * np.sign(np.dot(s, y)) * rng.choice([-1, 1]))
+        assert all(np.dot(s, y) > 0 for s, y, _ in pairs)
+        kept += len(pairs)
+        for g in rng.standard_normal((10, size)):
+            assert np.dot(g, solver_module._two_loop_direction(g, pairs, inv_hess)) < 0
+    assert kept > 500
