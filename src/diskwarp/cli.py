@@ -80,7 +80,10 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
     out_dir = _output_dir(output_dir or config.output or f"out/{config.name}-oracle")
     c1 = complex(target[1])
     ts = np.linspace(0.0, 1.0, config.num_steps + 1)
-    coeffs = closed_form(1.0 + 0j, c1, config.alpha, ts)
+    try:
+        coeffs = closed_form(1.0 + 0j, c1, config.alpha, ts)
+    except ValueError as exc:  # a target outside the closed form's range
+        raise ConfigValidationError(f"oracle target: {exc}") from None
     steps = np.zeros((config.num_steps + 1, config.degree_bound), dtype=complex)
     steps[:, 1] = coeffs
     path = DiscretePath(steps)

@@ -74,8 +74,16 @@ class LinearState:
 
 def reduced_rhs(state: LinearState, alpha: float) -> LinearState:
     """Time derivative of the reduced state; raises at ``c = 0``, where the
-    reduced velocity ``a = (dc/dt) / c`` is undefined."""
-    return LinearState(*_rhs(state.coeff, state.vel, check_alpha(alpha)))
+    reduced velocity ``a = (dc/dt) / c`` is undefined, and for a state that
+    is not finite (ValueError)."""
+    return LinearState(*_rhs(*_finite(state), check_alpha(alpha)))
+
+
+def _finite(state: LinearState) -> tuple[complex, complex]:
+    """``(coeff, vel)`` of a finite state, or ValueError."""
+    if not (cmath.isfinite(state.coeff) and cmath.isfinite(state.vel)):
+        raise ValueError(f"the state must be finite, got {state}")
+    return state.coeff, state.vel
 
 
 def _rhs(c: complex, a: complex, alpha: float) -> tuple[complex, complex]:
@@ -100,7 +108,8 @@ def conserved_quantity(state: LinearState, alpha: float) -> tuple[float, float]:
 def integrate_reduced(state: LinearState, alpha: float, duration: float, steps: int) -> np.ndarray:
     """Fixed-step classical Runge-Kutta trajectory of the reduced dynamics.
 
-    Returns a (steps+1, 2) complex array of (coeff, vel) pairs at the nodes.
+    Returns a (steps+1, 2) complex array of (coeff, vel) pairs at the nodes;
+    raises ValueError for a state or a duration that is not finite.
     """
     alpha = check_alpha(alpha)
     if not (_is_number(duration) and abs(duration) <= _FLOAT_MAX):
@@ -108,8 +117,8 @@ def integrate_reduced(state: LinearState, alpha: float, duration: float, steps: 
     if not (_is_integer(steps) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     h = duration / steps
+    c, a = _finite(state)
     out = np.empty((steps + 1, 2), dtype=complex)
-    c, a = state.coeff, state.vel
     out[0] = (c, a)
     for k in range(steps):
         k1 = _rhs(c, a, alpha)
@@ -181,13 +190,18 @@ def _minimizer(c0: complex, c1: complex, alpha: float):
 
 
 def _endpoints(c0, c1, alpha: float) -> tuple[complex, complex]:
-    """The endpoints as complex numbers, finite or ValueError.  At ``alpha =
-    0`` they must be nonzero and less than a quarter turn apart, or the
-    minimizer runs through ``c = 0`` (BranchFailureError); at alpha > 0
+    """The endpoints as complex numbers, each 0 or of modulus in ``[2**-255,
+    2**255]`` or ValueError: in that range every square ``|c|**2``, and every
+    product or quotient of two of them, is a finite normal double.  At
+    ``alpha = 0`` they must be nonzero and less than a quarter turn apart, or
+    the minimizer runs through ``c = 0`` (BranchFailureError); at alpha > 0
     :func:`_minimizer` checks them."""
     c0, c1 = complex(c0), complex(c1)
-    if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
-        raise ValueError(f"endpoints must be finite, got {c0} and {c1}")
+    # NaN fails both comparisons; hypot, unlike abs, overflows to inf quietly
+    if not all(c == 0 or 2.0**-255 <= math.hypot(c.real, c.imag) <= 2.0**255
+               for c in (c0, c1)):
+        raise ValueError(
+            f"endpoints must be 0 or of modulus in [2**-255, 2**255], got {c0} and {c1}")
     if alpha == 0.0 and (c0 == 0 or (c1 / c0).real <= 0):
         raise BranchFailureError(
             f"the geodesic from {c0} to {c1} at alpha = 0 reaches c = 0: the endpoints "
@@ -214,7 +228,9 @@ def closed_form(c0: complex, c1: complex, alpha: float, ts) -> np.ndarray:
         raise ValueError("query times must lie in [0, 1]")
     c0, c1 = _endpoints(c0, c1, alpha)
     if alpha == 0.0:
-        return c0 * np.sqrt(1.0 + ts * ((c1 / c0) ** 2 - 1.0))
+        path = c0 * np.sqrt(1.0 + ts * ((c1 / c0) ** 2 - 1.0))
+        path[ts == 1.0] = c1  # 1 + ((c1/c0)**2 - 1) need not round to (c1/c0)**2
+        return path
 
     u_star, w0, w1, turn = _minimizer(c0, c1, alpha)
     h0 = _clock(w0, u_star, alpha)

@@ -41,9 +41,9 @@ __all__ = [
 CONFORMAL_MIN_DERIV = 1e-3
 _ANGLES, _RADII = 64, 8
 
-# Round-off allowance of the line search's second acceptance test, in ulps of
-# the objective (see _lbfgs).
-_ROUNDOFF_ULPS = 10
+# L-BFGS pairs kept, Armijo fraction, backtracking factor, and round-off
+# allowance of the line search's second test in ulps of f (see _lbfgs).
+_MEMORY, _ARMIJO, _BACKTRACK, _ROUNDOFF_ULPS = 12, 1e-4, 0.5, 10
 
 
 @dataclass(frozen=True)
@@ -191,12 +191,12 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
 
     Raises NoConvergenceError when the iteration budget or a line search runs
     out before the gradient reaches ``grad_tol``, and NotConformalError when
-    any step of the accepted path fails certification, before any iteration
-    if an endpoint does; both carry the offending result on their ``result``
-    attribute.
+    any step of the accepted path fails certification.  Before any iteration,
+    one quiet evaluation of the start raises the latter if an endpoint fails
+    certification and the former if its action or gradient is not finite.
+    Both carry the offending result on their ``result`` attribute.
     """
-    tgt = project_by_truncation(as_coeffs(target), config.n)
-    path = initial_guess(tgt, config.num_steps)
+    path = initial_guess(project_by_truncation(target, config.n), config.num_steps)
     # the optimizer's variables are the interior rows, real and imaginary
     # parts interleaved: x.view(complex) is their row-major order
     interior = path.steps[1:-1]
@@ -206,14 +206,19 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         f, g = action_and_gradient(path, config.alpha)
         return f, g.ravel().view(float)
 
-    with np.errstate(all="ignore"):  # an overflowing target's NaN certificate fails
+    x = interior.ravel().view(float).copy()
+    with np.errstate(all="ignore"):  # an overflowing target fails here, without warnings
+        f, g = fun_grad(x)
+        gnorm = float(np.max(np.abs(g)))
         if not np.all(certify_conformal(DiscretePath(path.steps[[0, -1]])) > CONFORMAL_MIN_DERIV):
-            f, g = fun_grad(interior.ravel().view(float))
-            _certified(_result(path, f, float(np.max(np.abs(g))), 0, False, [f]))
+            _certified(_result(path, f, gnorm, 0, False, [f]))
+        if not (np.isfinite(f) and np.isfinite(gnorm)):
+            raise NoConvergenceError(
+                f"start not finite: action {f!r}, gradient sup-norm {gnorm!r}",
+                result=_result(path, f, gnorm, 0, False, [f]))
 
     x, f, gnorm, iters, history, converged = _lbfgs(
-        fun_grad,
-        interior.ravel().view(float),
+        fun_grad, x, f, g,
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
         inv_hess=_inverse_hessian_at_identity(config.n, config.num_steps, config.alpha),
@@ -266,12 +271,12 @@ def _inverse_hessian_at_identity(n: int, num_steps: int, alpha: float):
     return lambda g: (t_inv @ g.reshape(num_steps - 1, 2 * n) / weights).ravel()
 
 
-def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
-           armijo=1e-4, backtrack=0.5):
-    """Limited-memory BFGS with a backtracking line search.
+def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
+    """Limited-memory BFGS with a backtracking line search from x, at which
+    the caller evaluated f and g; ``_MEMORY`` pairs, steps cut by ``_BACKTRACK``.
 
     Returns (x, f, grad_sup_norm, iterations, accepted_action_history,
-    converged); the history lists f at x0 and at every accepted iterate.
+    converged); the history lists f at the start and at every accepted iterate.
     ``inv_hess`` maps a gradient to its image under ``H0``, the initial
     inverse Hessian of the two-loop recursion (scaled there by ``s.y / y.H0 y``
     of the latest pair), which is positive definite; as only pairs with ``s.y
@@ -282,17 +287,15 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
 
     A trial step passes the Armijo test or the round-off test of Hager and
     Zhang's approximate Wolfe conditions (SIAM J. Optim. 16, 2005): f rose
-    by at most its round-off and ``g_new . d <= (1 - 2 armijo)(-g . d)``,
+    by at most its round-off and ``g_new . d <= (1 - 2 _ARMIJO)(-g . d)``,
     the slope at which a quadratic along ``d`` meets the Armijo test.  Near
     the minimizer the decrease per step falls below the round-off of f, so
     f values cannot certify progress, but the analytic gradient still gives
     the slope to full precision.  The history is therefore non-increasing up
     to ``_ROUNDOFF_ULPS`` ulps of f.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
     history = [f]
-    pairs = deque(maxlen=memory)  # curvature pairs (s, y, 1 / s.y), oldest first
+    pairs = deque(maxlen=_MEMORY)  # curvature pairs (s, y, 1 / s.y), oldest first
     gnorm = float(np.max(np.abs(g)))
     iters = 0
 
@@ -305,12 +308,12 @@ def _lbfgs(fun_grad, x0, grad_tol, max_iters, inv_hess, memory=12,
         for _ in range(60 if slope < 0 else 0):
             x_new = x + step * d
             f_new, g_new = fun_grad(x_new)
-            if f_new <= f + armijo * step * slope or (
+            if f_new <= f + _ARMIJO * step * slope or (
                 f_new <= f + roundoff
-                and float(np.dot(g_new, d)) <= (1.0 - 2.0 * armijo) * -slope
+                and float(np.dot(g_new, d)) <= (1.0 - 2.0 * _ARMIJO) * -slope
             ):
                 break
-            step *= backtrack
+            step *= _BACKTRACK
         else:
             break
 

@@ -353,6 +353,30 @@ def test_cli_no_convergence_exit_code(tmp_path, monkeypatch):
     assert main(["solve", str(config_path), "--output", str(tmp_path / "s-out")]) == 2
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("modulus, codes", [
+    (1e200, {"solve": 2, "sweep": 2, "oracle": 1}),  # the action overflows
+    (1e-200, {"solve": 3, "sweep": 3, "oracle": 1}),  # the target is not conformal
+], ids=["1e200", "1e-200"])
+def test_cli_extreme_finite_targets_end_with_documented_exit_codes(tmp_path, capsys, modulus,
+                                                                    codes, alpha):
+    """Every verb ends with its exit code, without a traceback, a warning
+    (filterwarnings = error) or an output directory; oracle's endpoint is
+    outside the closed form's range."""
+    config_path = write_config(tmp_path, name="extreme", alpha=alpha, N=6, n=4,
+                               target=[[0.0, 0.0], [modulus, 0.0]])
+    for verb, options in (("solve", []), ("sweep", ["--alpha", "0,0.1"]), ("oracle", [])):
+        out_dir = tmp_path / verb
+        assert main([verb, *options, str(config_path), "--output", str(out_dir)]) == codes[verb]
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert not out_dir.exists()
+        if verb != "sweep":  # sweep reports each alpha's failure on stdout
+            assert err.count("\n") == 1
+            assert err.startswith({1: "config error: ", 2: "no convergence: ",
+                                   3: "not conformal: "}[codes[verb]])
+
+
 def test_cli_oracle_and_branch_failure(tmp_path):
     lin = write_config(tmp_path, name="lin2")
     assert main(["oracle", str(lin), "--output", str(tmp_path / "o-out")]) == 0

@@ -44,12 +44,27 @@ def test_rest_state_stays_at_rest():
     assert np.allclose(traj[:, 1], 0.0)
 
 
-@pytest.mark.parametrize("duration, steps", [
-    (1.0, 0), (1.0, 2.5), (1.0, True), (np.nan, 10), (np.inf, 10), (True, 10), (10**400, 10),
-], ids=["0", "2.5", "True", "duration-nan", "duration-inf", "duration-True", "duration-huge"])
-def test_integrate_reduced_rejects_bad_steps(duration, steps):
+NON_FINITE_STATES = [LinearState(np.nan, 0.5), LinearState(1.0, np.inf),
+                     LinearState(complex(1.0, np.nan), 0.5),
+                     LinearState(1.0, complex(0.5, -np.inf))]
+
+
+@pytest.mark.parametrize("state, duration, steps", [
+    *((LinearState(1.0, 0.5), duration, steps) for duration, steps in (
+        (1.0, 0), (1.0, 2.5), (1.0, True), (np.nan, 10), (np.inf, 10), (True, 10), (10**400, 10))),
+    *((state, 1.0, 4) for state in NON_FINITE_STATES),
+], ids=["0", "2.5", "True", "duration-nan", "duration-inf", "duration-True", "duration-huge",
+        "coeff-nan", "vel-inf", "coeff-imag-nan", "vel-imag-inf"])
+def test_integrate_reduced_rejects_bad_steps(state, duration, steps):
     with pytest.raises(ValueError):
-        integrate_reduced(LinearState(1.0, 0.5), 0.1, duration, steps)
+        integrate_reduced(state, 0.1, duration, steps)
+
+
+@pytest.mark.parametrize("state", NON_FINITE_STATES,
+                         ids=["coeff-nan", "vel-inf", "coeff-imag-nan", "vel-imag-inf"])
+def test_reduced_rhs_rejects_non_finite_state(state):
+    with pytest.raises(ValueError):
+        reduced_rhs(state, 0.1)
 
 
 def test_scaling_trajectory_squares_affine():
@@ -203,13 +218,26 @@ def test_branch_failure_for_large_rotation():
             closed_form(1.0, np.exp(1j * PI * turn), 0.0, ts)
 
 
+def test_closed_form_ends_exactly_at_the_endpoints():
+    # at alpha = 0, 1 + ((c1/c0)**2 - 1) loses (c1/c0)**2 below the round-off of 1
+    ts = [0.0, 0.5, 1.0]
+    for alpha in (0.0, 0.1):
+        for c0, c1 in ((1.0, 1e-70), (1.0, 3e-9j + 1e-9), (2.0**-255, 2.0**255), (0.7, 0.7)):
+            path = closed_form(c0, c1, alpha, ts)
+            assert path[0] == c0 and path[-1] == c1
+
+
 def test_closed_form_rejects_bad_times():
-    """And non-finite endpoints, which initial_velocity rejects too."""
+    """And endpoints that are not finite or whose moduli lie outside [2**-255,
+    2**255] (the closed form would overflow or warn), which initial_velocity
+    rejects too."""
     for alpha in (0.0, 0.1):
         for ts in ([-0.1], [1.5], [np.nan]):
             with pytest.raises(ValueError):
                 closed_form(1.0, 0.5, alpha, ts)
-        for c0, c1 in ((1.0, np.nan), (1.0, np.inf), (np.inf, 0.5), (complex(1, np.nan), 0.5)):
+        for c0, c1 in ((1.0, np.nan), (1.0, np.inf), (np.inf, 0.5), (complex(1, np.nan), 0.5),
+                       (1.0, 1e200), (1.0, 1e154), (1e-200, 1.0), (1.0, 1e-200),
+                       (1.0, complex(1.5e308, 1.5e308)), (1.0, 2.0**255 * 1.0000001)):
             with pytest.raises(ValueError):
                 closed_form(c0, c1, alpha, [0.0, 0.5, 1.0])
             with pytest.raises(ValueError):

@@ -267,6 +267,28 @@ def test_nan_certificate_fails_before_optimizing():
     assert np.isnan(result.conformal_certificate[-1])
 
 
+@pytest.mark.parametrize("target, error", [([0, 1e200], NoConvergenceError),
+                                           ([0, 1e-200], NotConformalError)],
+                         ids=["action-overflows", "endpoint-fails"])
+def test_start_is_evaluated_once_and_quietly(monkeypatch, target, error):
+    """A target whose action overflows fails at iteration 0 without a
+    RuntimeWarning (filterwarnings = error), from the one evaluation of the
+    start that the endpoint gate reads too."""
+    calls = []
+    original = solver_module.action_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "action_and_gradient", counted)
+    with pytest.raises(error) as excinfo:
+        solve(SolverConfig(n=4, num_steps=6, alpha=0.1), target)
+    result = excinfo.value.result
+    assert result.iterations == 0 and not result.converged
+    assert len(calls) == 1
+
+
 def test_preconditioner_inverts_hessian_at_identity_path():
     assert checks.preconditioner(np.random.default_rng(29), 20) <= 1e-10
 
