@@ -4,7 +4,8 @@
 # Runs each tree's code on that tree's configs into OUT_DIR/base and
 # OUT_DIR/head, then diffs the two: every shipped config's solve outputs, as
 # shipped and as CSV, example5a's at (N, n) = (40, 64) and example5c's at
-# (20, 128), and the linear configs' oracle outputs, as SVG and as CSV.
+# (20, 128), the linear configs' oracle outputs, as SVG and as CSV, and
+# example5a's sweep over alpha = 0.1 and 10, one subdirectory each.
 # Exits 0 when they are byte-identical and 1 when any file differs.
 set -eo pipefail
 
@@ -30,6 +31,8 @@ outputs() {  # outputs TREE DEST: run TREE's code on TREE's configs into DEST
     PYTHONPATH="$1/src" python -m diskwarp.cli oracle "$2.$name-csv.json" \
       --output "$2/oracle-csv/$name"
   done
+  PYTHONPATH="$1/src" python -m diskwarp.cli sweep --alpha 0.1,10 "$1/configs/example5a.json" \
+    --output "$2/sweep/example5a"
 }
 
 mkdir -p "$3"

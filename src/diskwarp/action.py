@@ -31,7 +31,6 @@ __all__ = [
     "lagrangian",
     "discrete_lagrangian",
     "discrete_action",
-    "action_and_gradient",
     "action_gradient",
 ]
 

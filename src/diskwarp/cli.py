@@ -12,9 +12,9 @@ Verbs:
   metric weights, one output subdirectory each.
 
 Reports and frames are reproducible byte for byte for identical configs;
-wall-clock timings go to stdout only.  Exit codes: 0 success, 1 usage or
-config errors, 2 no convergence, 3 lost conformality, 4 closed-form branch
-failure.
+wall-clock timings go to stdout only.  A run exits 0 on success; each
+failure it reports exits with the code that :data:`FAILURES` gives it, and
+a usage error exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ from .linear_geodesics import closed_form
 from .solver import SolverConfig, solve
 
 __all__ = ["main", "run_experiment", "run_oracle", "run_check"]
+
+# The failures a run reports: their types, their label on stderr and their exit
+# code.  Any other exception, SingularInertiaError included, ends in a traceback.
+FAILURES = (
+    ((ConfigParseError, ConfigValidationError, OSError), "config error", 1),
+    (NoConvergenceError, "no convergence", 2),
+    (NotConformalError, "not conformal", 3),
+    (BranchFailureError, "branch failure", 4),
+)
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None):
@@ -82,8 +91,8 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
     ts = np.linspace(0.0, 1.0, config.num_steps + 1)
     try:
         coeffs = closed_form(1.0 + 0j, c1, config.alpha, ts)
-    except ValueError as exc:  # a target outside the closed form's range
-        raise ConfigValidationError(f"oracle target: {exc}") from None
+    except ValueError as exc:  # a target or an alpha outside the closed form's range
+        raise ConfigValidationError(f"oracle: {exc}") from None
     steps = np.zeros((config.num_steps + 1, config.degree_bound), dtype=complex)
     steps[:, 1] = coeffs
     path = DiscretePath(steps)
@@ -97,8 +106,10 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
 
 def _output_dir(path) -> Path:
     """``path`` as a Path; ConfigValidationError if the filesystem encoding
-    cannot encode it or if it or a parent is a file other than a directory
-    or a dangling symlink, so that a run fails before its compute."""
+    cannot encode it, if its nearest existing ancestor (or itself) is a file
+    other than a directory or a dangling symlink, or if a name it would make
+    there is longer than that filesystem allows, so that a run fails before
+    its compute."""
     try:
         os.fsencode(path)
     except UnicodeEncodeError:
@@ -106,10 +117,16 @@ def _output_dir(path) -> Path:
             f"output directory {str(path)!r} cannot be encoded in the filesystem "
             f"encoding {sys.getfilesystemencoding()!r}") from None
     path = Path(path)
-    for parent in (path, *path.parents):
-        if os.path.lexists(parent) and not parent.is_dir():
-            raise ConfigValidationError(
-                f"output directory {str(path)!r} cannot be made: {str(parent)!r} is not a directory")
+    # a relative path ends in ".", an absolute one in "/"; both exist
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigValidationError(
+            f"output directory {str(path)!r} cannot be made: {str(existing)!r} is not a directory")
+    name_max = os.pathconf(existing, "PC_NAME_MAX")
+    if any(len(os.fsencode(name)) > name_max for name in path.parts[len(existing.parts):]):
+        raise ConfigValidationError(
+            f"output directory {str(path)!r} cannot be made: it holds a name longer than "
+            f"the {name_max} bytes its filesystem allows")
     return path
 
 
@@ -237,20 +254,15 @@ def main(argv=None) -> int:
                 )
             except (NoConvergenceError, NotConformalError) as exc:
                 print(f"alpha={alpha:<8g} FAILED: {exc}")
-                status = max(status, 2 if isinstance(exc, NoConvergenceError) else 3)
+                status = max(status, next(code for kinds, _, code in FAILURES
+                                          if isinstance(exc, kinds)))
         return status
-    except (ConfigParseError, ConfigValidationError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except NoConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return 2
-    except NotConformalError as exc:
-        print(f"not conformal: {exc}", file=sys.stderr)
-        return 3
-    except BranchFailureError as exc:
-        print(f"branch failure: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        for kinds, label, code in FAILURES:
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -192,9 +192,12 @@ def _minimizer(c0: complex, c1: complex, alpha: float):
 def _endpoints(c0, c1, alpha: float) -> tuple[complex, complex]:
     """The endpoints as complex numbers, each 0 or of modulus in ``[2**-255,
     2**255]`` or ValueError: in that range every square ``|c|**2``, and every
-    product or quotient of two of them, is a finite normal double.  At
-    ``alpha = 0`` they must be nonzero and less than a quarter turn apart, or
-    the minimizer runs through ``c = 0`` (BranchFailureError); at alpha > 0
+    product or quotient of two of them, is a finite normal double.  So must
+    alpha be 0 or in ``[2**-510, 2**510]``, the range of those squares, or
+    ValueError: then the clock's terms, ``u + 2 alpha`` and ``|w| (s + |w|) /
+    (u* + alpha)`` among them, are finite too.  At ``alpha = 0`` the
+    endpoints must be nonzero and less than a quarter turn apart, or the
+    minimizer runs through ``c = 0`` (BranchFailureError); at alpha > 0
     :func:`_minimizer` checks them."""
     c0, c1 = complex(c0), complex(c1)
     # NaN fails both comparisons; hypot, unlike abs, overflows to inf quietly
@@ -202,6 +205,8 @@ def _endpoints(c0, c1, alpha: float) -> tuple[complex, complex]:
                for c in (c0, c1)):
         raise ValueError(
             f"endpoints must be 0 or of modulus in [2**-255, 2**255], got {c0} and {c1}")
+    if not (alpha == 0.0 or 2.0**-510 <= alpha <= 2.0**510):
+        raise ValueError(f"alpha must be 0 or in [2**-510, 2**510], got {alpha!r}")
     if alpha == 0.0 and (c0 == 0 or (c1 / c0).real <= 0):
         raise BranchFailureError(
             f"the geodesic from {c0} to {c1} at alpha = 0 reaches c = 0: the endpoints "

@@ -23,11 +23,9 @@ __all__ = [
     "derivative",
     "mul_naive",
     "inner_l2",
-    "check_alpha",
     "inner_h1",
     "adjoint_dz",
     "evaluate",
-    "monomial_weights",
 ]
 
 _FLOAT_MAX = float(np.finfo(float).max)

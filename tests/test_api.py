@@ -1,6 +1,7 @@
 """The public API of the package."""
 
 import diskwarp
+from diskwarp import action, errors, linear_geodesics, poly, solver
 
 PUBLIC_API = [
     "BranchFailureError", "CONFORMAL_MIN_DERIV", "ConfigParseError", "ConfigValidationError",
@@ -18,3 +19,15 @@ def test_public_api_is_pinned():
     removed from this list too, so every API change is deliberate."""
     assert sorted(diskwarp.__all__) == PUBLIC_API
     assert all(hasattr(diskwarp, name) for name in PUBLIC_API)
+
+
+def test_each_public_name_has_one_owner():
+    """``diskwarp.__all__`` is the concatenation of its five modules'
+    ``__all__``, no name is in two of them, and each name is its module's
+    object."""
+    modules = (action, errors, linear_geodesics, poly, solver)
+    assert diskwarp.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(diskwarp.__all__)) == len(diskwarp.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(diskwarp, name) is getattr(module, name)

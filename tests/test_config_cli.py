@@ -215,8 +215,9 @@ def test_cli_unencodable_output_directory_is_a_config_error(tmp_path):
 
 def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch, capsys):
     """An output directory that is, or lies under, an existing file or a
-    dangling symlink is a config error for every verb, raised before the
-    solve or the closed form; a symlink to a directory is a valid output."""
+    dangling symlink, or that holds a name longer than its filesystem
+    allows, is a config error for every verb, raised before the solve or the
+    closed form; a symlink to a directory is a valid output."""
     def not_called(*args, **kwargs):
         raise AssertionError("computed before the output directory was checked")
 
@@ -237,6 +238,19 @@ def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch,
                                f"{str(block)!r} is not a directory\n")
     assert blocker.read_text() == "kept"
     assert not (tmp_path / "nowhere").exists()
+
+    # a 300-byte name, as the config's name under out/ or in --output
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    long_name = "n" * 300
+    named = write_config(tmp_path, file_name="long.json", name=long_name)
+    for args in verbs:
+        for config, output in ((named, []), (config_path, ["--output", f"x/{long_name}"])):
+            assert main([*args, str(config), *output]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: output directory ") and "name longer than" in err
+    assert list(work.iterdir()) == []
 
     monkeypatch.undo()
     (tmp_path / "target").mkdir()
@@ -353,19 +367,24 @@ def test_cli_no_convergence_exit_code(tmp_path, monkeypatch):
     assert main(["solve", str(config_path), "--output", str(tmp_path / "s-out")]) == 2
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.1])
-@pytest.mark.parametrize("modulus, codes", [
-    (1e200, {"solve": 2, "sweep": 2, "oracle": 1}),  # the action overflows
-    (1e-200, {"solve": 3, "sweep": 3, "oracle": 1}),  # the target is not conformal
-], ids=["1e200", "1e-200"])
+OVERFLOW = {"solve": 2, "sweep": 2, "oracle": 1}
+NOT_CONFORMAL = {"solve": 3, "sweep": 3, "oracle": 1}
+
+
+@pytest.mark.parametrize("modulus, alpha, codes", [
+    (1e200, 0.0, OVERFLOW), (1e200, 0.1, OVERFLOW),  # the action overflows
+    (1e-200, 0.0, NOT_CONFORMAL), (1e-200, 0.1, NOT_CONFORMAL),  # the target is not conformal
+    (0.5, 1e308, OVERFLOW),  # the action overflows
+], ids=["1e200-0.0", "1e200-0.1", "1e-200-0.0", "1e-200-0.1", "0.5-1e308"])
 def test_cli_extreme_finite_targets_end_with_documented_exit_codes(tmp_path, capsys, modulus,
-                                                                    codes, alpha):
-    """Every verb ends with its exit code, without a traceback, a warning
-    (filterwarnings = error) or an output directory; oracle's endpoint is
-    outside the closed form's range."""
+                                                                    alpha, codes):
+    """Every verb, sweep at the config's alpha, ends with its exit code,
+    without a traceback, a warning (filterwarnings = error) or an output
+    directory; oracle's endpoint or alpha is outside the closed form's
+    range."""
     config_path = write_config(tmp_path, name="extreme", alpha=alpha, N=6, n=4,
                                target=[[0.0, 0.0], [modulus, 0.0]])
-    for verb, options in (("solve", []), ("sweep", ["--alpha", "0,0.1"]), ("oracle", [])):
+    for verb, options in (("solve", []), ("sweep", ["--alpha", repr(alpha)]), ("oracle", [])):
         out_dir = tmp_path / verb
         assert main([verb, *options, str(config_path), "--output", str(out_dir)]) == codes[verb]
         out, err = capsys.readouterr()

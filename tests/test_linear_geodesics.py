@@ -1,5 +1,7 @@
 """Reduced reference dynamics on the linear maps c z."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,25 @@ def test_closed_form_rejects_bad_times():
                 closed_form(c0, c1, alpha, [0.0, 0.5, 1.0])
             with pytest.raises(ValueError):
                 initial_velocity(c0, c1, alpha)
+
+
+def test_every_alpha_gives_a_finite_path_or_a_value_error():
+    """From 0 through the subnormals to the largest double, alpha outside
+    [2**-510, 2**510] is a ValueError and alpha inside gives a finite path
+    that ends exactly at c1 and a finite initial velocity, at every endpoint
+    modulus, real or turned by 0.3 pi; never a RuntimeWarning
+    (filterwarnings = error)."""
+    ts = np.linspace(0.0, 1.0, 5)
+    for alpha in (0.0, *(2.0**k for k in range(-1074, 1024, 37)), 1e308, sys.float_info.max,
+                  2.0**-510, 2.0**510, np.nextafter(2.0**-510, 0), np.nextafter(2.0**510, np.inf)):
+        for k in (-255, -100, -20, 0, 20, 100, 255):
+            for c1 in (2.0**k, 2.0**k * np.exp(0.3j * PI)):
+                if not (alpha == 0.0 or 2.0**-510 <= alpha <= 2.0**510):
+                    with pytest.raises(ValueError, match="alpha"):
+                        closed_form(1.0, c1, alpha, ts)
+                    with pytest.raises(ValueError, match="alpha"):
+                        initial_velocity(1.0, c1, alpha)
+                    continue
+                path = closed_form(1.0, c1, alpha, ts)
+                assert np.all(np.isfinite(path)) and path[-1] == c1
+                assert np.isfinite(initial_velocity(1.0, c1, alpha))
