@@ -18,8 +18,7 @@ from .frames import points_text, repr_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity, initial_velocity,
                                integrate_reduced)
 from .poly import adjoint_dz, derivative, evaluate, inner_l2
-from .solver import (_ANGLES, _RADII, _certificate_grid, _inverse_hessian_at_identity,
-                     certify_conformal, identity_map)
+from .solver import _ANGLES, _GRID, _inverse_hessian_at_identity, certify_conformal, identity_map
 
 __all__ = ["BATTERY", "adjoint", "action_modes", "gradient", "preconditioner", "conservation",
            "shooting", "certificate", "svg_format", "csv_format"]
@@ -52,14 +51,14 @@ def adjoint(rng, count):
     return worst
 
 
-def action_modes(rng, count, alpha=0.3):
+def action_modes(rng, count):
     """Relative gap of the fft-mode and the fused kernel's action to the naive
-    mode, on random paths at the shipped (N, n) = (20, 16)."""
+    mode, on random paths at the shipped (N, n) = (20, 16) and alpha 0.3."""
     worst = 0.0
     for _ in range(count):
         path = DiscretePath(_steps(rng, (21, 16)))
-        naive = discrete_action(path, alpha, "naive")
-        for other in (discrete_action(path, alpha, "fft"), action_and_gradient(path, alpha)[0]):
+        naive = discrete_action(path, 0.3, "naive")
+        for other in (discrete_action(path, 0.3, "fft"), action_and_gradient(path, 0.3)[0]):
             worst = np.maximum(worst, abs(naive - other) / (1 + abs(naive)))
     return worst
 
@@ -82,12 +81,13 @@ def gradient(rng, count, shape, alpha, eps=1e-6):
     return worst
 
 
-def preconditioner(rng, count, eps=1e-3):
+def preconditioner(rng, count):
     """Worst sup-norm ``|P(Hv) - v| / |v|`` of the solver's initial inverse
     Hessian P against the action's Hessian H at the constant identity path,
     for random (N, n, alpha) and directions v.  Hv is the Richardson value of
-    central gradient differences at steps ``eps`` and ``2 eps``, exact up to
-    round-off since the gradient is cubic."""
+    central gradient differences at steps ``eps = 1e-3`` and ``2 eps``, exact
+    up to round-off since the gradient is cubic."""
+    eps = 1e-3
     worst = 0.0
     for _ in range(count):
         num_steps, n = rng.integers(2, 25), rng.integers(2, 17)
@@ -117,15 +117,15 @@ def conservation(rng, count, alphas=(0.0, 0.1, 1.0, 100.0)):
     return worst
 
 
-def shooting(rng, count, alphas=(0.0, 0.1, 1.0, 10.0)):
+def shooting(rng, count):
     """Largest gap at 101 nodes between :func:`closed_form` and the reduced
     dynamics started from its :func:`initial_velocity`, for random targets
-    near 1 and an alpha drawn from ``alphas``."""
+    near 1 and an alpha drawn from 0, 0.1, 1 and 10."""
     ts = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for _ in range(count):
         c1 = _near(rng, 1.0)
-        alpha = float(rng.choice(alphas))
+        alpha = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
         ref = closed_form(1.0 + 0j, c1, alpha, ts)
         a0 = initial_velocity(1.0 + 0j, c1, alpha)
         traj = integrate_reduced(LinearState(1.0 + 0j, a0), alpha, 1.0, 100)
@@ -161,9 +161,8 @@ def certificate(rng, count):
         ties[:, k] = -rng.uniform(0.1, 0.9, 2) / k
         single = np.tile(identity_map(n), (2, 1))
         single[1, 2] = 0.6 * np.exp(2j * np.pi * rng.integers(_ANGLES) / _ANGLES)
-        grid = _certificate_grid(_ANGLES, _RADII, n)[0]
         for steps in (decaying, ties, single):
-            full = np.min(np.abs(evaluate(derivative(steps), grid)), axis=-1)
+            full = np.min(np.abs(evaluate(derivative(steps), _GRID)), axis=-1)
             screened = certify_conformal(DiscretePath(steps))
             wrong += int(np.sum(screened.view(np.uint64) != full.view(np.uint64)))
     return wrong

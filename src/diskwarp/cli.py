@@ -13,8 +13,9 @@ Verbs:
 
 Reports and frames are reproducible byte for byte for identical configs;
 wall-clock timings go to stdout only.  A run exits 0 on success; each
-failure it reports exits with the code that :data:`FAILURES` gives it, and
-a usage error exits 2 from argparse.
+failure it reports exits with the code that :data:`FAILURES` gives it.  A
+usage error, such as a missing verb or argument, exits with the code of a
+config error after argparse prints the usage; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     Returns ``(result, out_dir, elapsed_seconds)``.  Nothing is written when
     the solver fails, so output directories never hold partial frames.
     """
-    out_dir = _output_dir(output_dir or config.output or f"out/{config.name}")
+    out_dir = _output_dir(output_dir or f"out/{config.name}", config)
     t0 = time.perf_counter()
     result = solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps,
                                 alpha=config.alpha), config.target)
@@ -86,7 +87,7 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
             f"oracle needs a linear target (only the z coefficient nonzero), "
             f"got {target.tolist()}"
         )
-    out_dir = _output_dir(output_dir or config.output or f"out/{config.name}-oracle")
+    out_dir = _output_dir(output_dir or f"out/{config.name}-oracle", config)
     c1 = complex(target[1])
     ts = np.linspace(0.0, 1.0, config.num_steps + 1)
     try:
@@ -104,12 +105,13 @@ def run_oracle(config: ExperimentConfig, output_dir=None):
     return path, out_dir
 
 
-def _output_dir(path) -> Path:
+def _output_dir(path, config: ExperimentConfig) -> Path:
     """``path`` as a Path; ConfigValidationError if the filesystem encoding
     cannot encode it, if its nearest existing ancestor (or itself) is a file
-    other than a directory or a dangling symlink, or if a name it would make
-    there is longer than that filesystem allows, so that a run fails before
-    its compute."""
+    other than a directory or a dangling symlink, if a name it would make
+    there is longer than that filesystem allows, or if the path of the
+    longest file a run of ``config`` writes in it would reach the
+    filesystem's path limit, so that a run fails before its compute."""
     try:
         os.fsencode(path)
     except UnicodeEncodeError:
@@ -127,6 +129,13 @@ def _output_dir(path) -> Path:
         raise ConfigValidationError(
             f"output directory {str(path)!r} cannot be made: it holds a name longer than "
             f"the {name_max} bytes its filesystem allows")
+    # frame_NNN.svg is longer than report.txt, report.txt as long as frames.csv
+    longest = f"frame_{config.num_steps:03d}.svg" if config.frame_format == "svg" else "report.txt"
+    size, path_max = len(os.fsencode(path / longest)), os.pathconf(existing, "PC_PATH_MAX")
+    if size >= path_max:  # PC_PATH_MAX counts the terminating NUL
+        raise ConfigValidationError(
+            f"output directory {str(path)!r} cannot be made: the path of {longest!r} in it "
+            f"would take {size} bytes, and its filesystem takes fewer than {path_max}")
     return path
 
 
@@ -163,16 +172,16 @@ def _write_run(config: ExperimentConfig, path: DiscretePath, out_dir: Path, kind
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run_check(stream=None) -> int:
+def run_check() -> int:
     """Run :data:`diskwarp.checks.BATTERY` from one seeded generator, one line
-    per check to ``stream`` (default stdout); returns the number of failures."""
+    per check to stdout; returns the number of failures."""
     rng = np.random.default_rng(0)
     failures = 0
     for name, check, args, tolerance in BATTERY:
         worst = check(rng, *args)
         ok = worst <= tolerance
         failures += not ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: worst {worst:.2e}", file=stream)
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: worst {worst:.2e}")
     return failures
 
 
@@ -203,7 +212,10 @@ def main(argv=None) -> int:
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):  # not, say, an io.StringIO
             stream.reconfigure(errors="backslashreplace")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage, or the help
+        return 0 if exc.code == 0 else FAILURES[0][2]  # a usage error is a config error
     try:
         if args.verb == "solve":
             config = load_config(args.config)
@@ -242,12 +254,13 @@ def main(argv=None) -> int:
             raise ConfigValidationError(
                 f"--alpha: values in {args.alpha} that agree to 6 digits share a directory"
             )
-        base = _output_dir(args.output or config.output or f"out/{config.name}")
+        base = _output_dir(args.output or f"out/{config.name}", config)
+        out_dirs = [_output_dir(base / name, variant) for name, variant in variants.items()]
         status = 0
-        for dir_name, variant in variants.items():
+        for out_dir, variant in zip(out_dirs, variants.values()):
             alpha = variant.alpha
             try:
-                result, out_dir, elapsed = run_experiment(variant, base / dir_name)
+                result, _, elapsed = run_experiment(variant, out_dir)
                 print(
                     f"alpha={alpha:<8g} action={result.action:<14.9g} "
                     f"iterations={result.iterations:<5d} {elapsed:.2f} s -> {out_dir}"

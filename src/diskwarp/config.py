@@ -2,13 +2,13 @@
 
 Configs are JSON documents with the fields ``name``, ``alpha``, ``N``, ``n``,
 ``target`` (an array of ``[re, im]`` coefficient pairs), ``mesh``
-(``{"circles": R, "rays": A}``), ``format`` (``"csv"`` or ``"svg"``), and an
-optional ``output`` directory.  :class:`ExperimentConfig` owns every field's
-type, value and default.  :func:`load_config` adds only the rules of JSON:
-UTF-8 text, an object at the top level and in ``mesh``, no unknown field (so
-a misspelt one cannot silently take its default), no missing field, and
-``target`` as ``[re, im]`` number pairs.  Text that is not a JSON object
-raises :class:`ConfigParseError`, any other fault :class:`ConfigValidationError`.
+(``{"circles": R, "rays": A}``) and ``format`` (``"csv"`` or ``"svg"``).
+:class:`ExperimentConfig` owns every field's type, value and default.
+:func:`load_config` adds only the rules of JSON: UTF-8 text, an object at
+the top level and in ``mesh``, no unknown field (so a misspelt one cannot
+silently take its default), no missing field, and ``target`` as ``[re, im]``
+number pairs.  Text that is not a JSON object raises
+:class:`ConfigParseError`, any other fault :class:`ConfigValidationError`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .poly import _is_integer, _is_number, check_alpha
 
 __all__ = ["ExperimentConfig", "load_config"]
 
-_FIELDS = ("name", "alpha", "N", "n", "target", "mesh", "format", "output")
+_FIELDS = ("name", "alpha", "N", "n", "target", "mesh", "format")
 _REQUIRED = ("name", "alpha", "N", "n", "target")
 _MESH_FIELDS = ("circles", "rays")
 # ExperimentConfig's names for the JSON fields it spells differently
@@ -42,7 +42,6 @@ class ExperimentConfig:
     mesh_circles: int = 8
     mesh_rays: int = 16
     frame_format: str = "svg"
-    output: str | None = None
 
     def __post_init__(self):
         # the name is the default output directory under out/, so it must not
@@ -80,10 +79,6 @@ class ExperimentConfig:
             raise ConfigValidationError(
                 f"mesh counts must be positive integers, got circles={self.mesh_circles} "
                 f"rays={self.mesh_rays}"
-            )
-        if not (self.output is None or isinstance(self.output, str)):
-            raise ConfigValidationError(
-                f"output must be a directory path string, got {self.output!r}"
             )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,10 +35,14 @@ __all__ = [
     "solve",
 ]
 
-# A step is declared non-conformal when min |phi'| on the sample grid, of
-# _ANGLES directions on _RADII rings and the center, is at or below this threshold.
+# A step is declared non-conformal when min |phi'| on the sample grid _GRID,
+# the center and then _ANGLES directions on each ring of radius j/8 in _RINGS,
+# j = 1..8, ring by ring, is at or below this threshold.
 CONFORMAL_MIN_DERIV = 1e-3
-_ANGLES, _RADII = 64, 8
+_ANGLES, _RINGS = 64, np.arange(1, 9) / 8
+_GRID = np.concatenate([[0.0 + 0.0j], (_RINGS[:, None] * np.exp(
+    1j * (2.0 * np.pi * np.arange(_ANGLES) / _ANGLES))[None, :]).ravel()])
+_RINGS.flags.writeable = _GRID.flags.writeable = False
 
 # L-BFGS pairs kept, Armijo fraction, backtracking factor, and round-off
 # allowance of the line search's second test in ulps of f (see _lbfgs).
@@ -86,7 +89,7 @@ class GeodesicResult:
     iterations: int
     converged: bool
     conformal_certificate: np.ndarray
-    action_history: np.ndarray = field(repr=False, default=None)
+    action_history: np.ndarray = field(repr=False)
 
 
 def identity_map(n: int) -> np.ndarray:
@@ -123,7 +126,7 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
     but Horner runs only at the points where a step's minimum can be.  On the
     ring of radius r, ``phi'(r w**m) = sum_j d_j r**j w**(j m)`` with ``w =
     exp(2 pi i / M)`` and M = 64 is one inverse FFT of the ring-scaled
-    coefficients ``d_j r**j``, folded mod M when the degree bound n exceeds M.
+    coefficients ``d_j r**j`` for the path's n, folded mod M when n exceeds M.
     This estimate E and the Horner values H differ by less than half the
     margin ``(n + M) 2**-40 sum_j |d_j|``: complex Horner at ``|z| <= 1`` errs
     by about ``4 n u sum_j |d_j|`` at most (Higham, *Accuracy and Stability of
@@ -137,16 +140,16 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
     """
     d = derivative(path.steps)
     rows, n = d.shape
-    grid, powers = _certificate_grid(_ANGLES, _RADII, n)
     moduli = np.abs(d)
     tail = np.sum(moduli[:, 1:], axis=1)
     margin = (n + _ANGLES) * (2.0**-40 * (moduli[:, 0] + tail) + np.finfo(float).tiny)
     flat = ~(tail > margin)  # NaN compares false: a NaN or an infinity is flat
     minima = np.empty(rows)
     if flat.any():
-        minima[flat] = np.min(np.abs(evaluate(d[flat], grid)), axis=-1)
+        minima[flat] = np.min(np.abs(evaluate(d[flat], _GRID)), axis=-1)
     if not flat.all():
-        estimate = _ring_estimate(d[~flat], powers, _ANGLES)
+        # each ring's r**j as complex numbers, for a screen product of one dtype
+        estimate = _ring_estimate(d[~flat], (_RINGS[:, None] ** np.arange(n)).astype(complex))
         # an estimate that overflowed to NaN makes every point a candidate
         near = ~(estimate > (estimate.min(axis=1) + margin[~flat])[:, None])
         # Never one point: for a single row at a single point numpy's complex
@@ -154,36 +157,24 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
         # vector loop, and the last bit can differ from the whole grid's.
         near[:, :2] = True
         columns = np.flatnonzero(near.any(axis=0))
-        minima[~flat] = np.min(np.abs(evaluate(d[~flat], grid[columns])), axis=-1)
+        minima[~flat] = np.min(np.abs(evaluate(d[~flat], _GRID[columns])), axis=-1)
     return minima
 
 
-def _ring_estimate(d: np.ndarray, powers: np.ndarray, angles: int) -> np.ndarray:
-    """``|p'|`` at every point of a grid of :func:`_certificate_grid`, for
-    each coefficient row of ``d``, from one inverse FFT per ring."""
+def _ring_estimate(d: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``|p'|`` at every point of :data:`_GRID`, for each coefficient row of
+    ``d``, from one inverse FFT per ring; ``powers`` holds each ring's
+    ``r**j`` for ``j < n``."""
     rows, n = d.shape
     terms = d[:, None, :] * powers
-    for start in range(angles, n, angles):  # w**(j m) depends on j mod M only
-        block = terms[..., start:start + angles]
+    for start in range(_ANGLES, n, _ANGLES):  # w**(j m) depends on j mod M only
+        block = terms[..., start:start + _ANGLES]
         terms[..., :block.shape[-1]] += block
-    rings = np.fft.ifft(terms[..., :angles], angles, norm="forward")
+    rings = np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward")
     estimate = np.empty((rows, 1 + rings[0].size))
     estimate[:, 0] = np.abs(d[:, 0])
     np.abs(rings.reshape(rows, -1), out=estimate[:, 1:])
     return estimate
-
-
-@lru_cache(maxsize=64)
-def _certificate_grid(angles: int, radii: int, n: int):
-    """A polar grid of ``angles`` directions on ``radii`` rings, center first
-    and then ring by ring, and each ring's powers ``r**j`` (``j < n``) as
-    complex numbers for a screen product of one dtype; cached, read-only."""
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    rings = np.arange(1, radii + 1) / radii
-    grid = np.concatenate([[0.0 + 0.0j], (rings[:, None] * np.exp(1j * theta)[None, :]).ravel()])
-    powers = (rings[:, None] ** np.arange(n)).astype(complex)
-    grid.flags.writeable = powers.flags.writeable = False
-    return grid, powers
 
 
 def solve(config: SolverConfig, target) -> GeodesicResult:

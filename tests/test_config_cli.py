@@ -65,8 +65,8 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, fromat="csv"))
     with pytest.raises(ConfigValidationError, match="unknown mesh field 'circle'"):
         load_config(write_config(tmp_path, mesh={"circle": 3}))
-    with pytest.raises(ConfigValidationError, match="output"):
-        load_config(write_config(tmp_path, output=["out"]))
+    with pytest.raises(ConfigValidationError, match="unknown field 'output'"):
+        load_config(write_config(tmp_path, output="out"))
     with pytest.raises(ConfigValidationError, match="'mesh' must be an object"):
         load_config(write_config(tmp_path, mesh=[2, 4]))
     with pytest.raises(ConfigValidationError, match="target must be a list"):
@@ -160,6 +160,27 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "does-not-exist.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [[], ["solve"], ["oracle"], ["sweep", "x.json"], ["solve", "x.json", "--bogus", "o"],
+             ["fly"]],
+    ids=["no-verb", "solve-no-config", "oracle-no-config", "sweep-no-alpha", "unknown-option",
+         "unknown-verb"],
+)
+def test_cli_usage_error_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    """A usage error exits with the config-error code, not argparse's 2, which
+    is no convergence's, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "usage: diskwarp" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["sweep", "-h"]])
+def test_cli_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: diskwarp" in capsys.readouterr().out
+
+
 def test_cli_main_under_redirected_streams(tmp_path):
     """main runs with stdout and stderr redirected to objects that have no
     ``reconfigure``, such as io.StringIO."""
@@ -210,14 +231,16 @@ def test_cli_unencodable_output_directory_is_a_config_error(tmp_path):
     assert list(work.iterdir()) == []
     # a lone surrogate encodes in no filesystem encoding, in process too
     with pytest.raises(ConfigValidationError, match="cannot be encoded"):
-        cli_module._output_dir("out/\ud800")
+        cli_module._output_dir("out/\ud800", load_config(config_path))
 
 
 def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch, capsys):
     """An output directory that is, or lies under, an existing file or a
-    dangling symlink, or that holds a name longer than its filesystem
-    allows, is a config error for every verb, raised before the solve or the
-    closed form; a symlink to a directory is a valid output."""
+    dangling symlink, that holds a name longer than its filesystem allows,
+    or in which the path of a file the run writes would reach the
+    filesystem's path limit, is a config error for every verb, raised before
+    the solve or the closed form; a symlink to a directory is a valid
+    output."""
     def not_called(*args, **kwargs):
         raise AssertionError("computed before the output directory was checked")
 
@@ -250,6 +273,25 @@ def test_cli_output_path_through_a_file_is_a_config_error(tmp_path, monkeypatch,
             assert main([*args, str(config), *output]) == 1
             err = capsys.readouterr().err
             assert err.startswith("config error: output directory ") and "name longer than" in err
+    assert list(work.iterdir()) == []
+
+    # paths of names of 250 bytes, cut where a file the run writes in them
+    # reaches the path limit, the terminating NUL included
+    path_max = os.pathconf(work, "PC_PATH_MAX")
+    deep = "/".join(["n" * 250] * (path_max // 251 + 1))
+    svg = write_config(tmp_path, file_name="svg.json", format="svg")
+    runs = [(args, config_path, deep) for args in verbs] + [
+        # the path of frame_006.svg would be one byte too long; report.txt's fits
+        (["solve"], svg, deep[:path_max - 14]), (["oracle"], svg, deep[:path_max - 14]),
+        # alpha-1/report.txt fits and alpha-0.1/report.txt is one byte too
+        # long, so the first variant's solve would run if only its own path
+        # were checked
+        (["sweep", "--alpha", "1,0.1"], config_path, deep[:path_max - 21]),
+    ]
+    for args, config, output in runs:
+        assert main([*args, str(config), "--output", output]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory ") and "fewer than" in err, err[-200:]
     assert list(work.iterdir()) == []
 
     monkeypatch.undo()
@@ -292,8 +334,9 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         assert "config error" in capsys.readouterr().err
     assert list(work.iterdir()) == []
 
-    # a non-string output and unknown fields fail before the solve or closed form
-    for overrides, message in (({"output": True}, "output must"), ({"output": 5}, "output must"),
+    # unknown fields, output among them (--output places a run), fail before
+    # the solve or closed form
+    for overrides, message in (({"output": "elsewhere"}, "unknown field 'output'"),
                                ({"fromat": "svg"}, "unknown field 'fromat'"),
                                ({"mesh": {"circle": 3, "rays": 4}}, "unknown mesh field 'circle'")):
         odd = write_config(tmp_path, file_name="odd.json", name="odd", **overrides)
