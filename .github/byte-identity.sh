@@ -6,7 +6,8 @@
 # shipped and as CSV, example5a's at (N, n) = (40, 64) and example5c's at
 # (20, 128), the linear configs' oracle outputs, as SVG and as CSV, and
 # example5a's sweep over alpha = 0.1 and 10, one subdirectory each.
-# Exits 0 when they are byte-identical and 1 when any file differs.
+# Lists the differing files, sorted, and their count, then prints the full
+# diff. Exits 0 when they are byte-identical and 1 when any file differs.
 set -eo pipefail
 
 outputs() {  # outputs TREE DEST: run TREE's code on TREE's configs into DEST
@@ -38,4 +39,9 @@ outputs() {  # outputs TREE DEST: run TREE's code on TREE's configs into DEST
 mkdir -p "$3"
 outputs "$1" "$3/base"
 outputs "$2" "$3/head"
+differing=$(diff -rq "$3/base" "$3/head" | sort) || true  # the full diff below sets the status
+if [ -n "$differing" ]; then
+  printf '%s\n' "$differing"
+fi
+echo "$(printf '%s' "$differing" | grep -c '') differing file(s)"
 diff -r "$3/base" "$3/head"

@@ -18,7 +18,7 @@ from .frames import points_text, repr_text
 from .linear_geodesics import (LinearState, closed_form, conserved_quantity, initial_velocity,
                                integrate_reduced)
 from .poly import adjoint_dz, derivative, evaluate, inner_l2
-from .solver import _ANGLES, _GRID, _inverse_hessian_at_identity, certify_conformal, identity_map
+from .solver import _ANGLES, _GRID, _inverse_hessian_along, certify_conformal, identity_map
 
 __all__ = ["BATTERY", "adjoint", "action_modes", "gradient", "preconditioner", "conservation",
            "shooting", "certificate", "svg_format", "csv_format"]
@@ -83,22 +83,26 @@ def gradient(rng, count, shape, alpha, eps=1e-6):
 
 def preconditioner(rng, count):
     """Worst sup-norm ``|P(Hv) - v| / |v|`` of the solver's initial inverse
-    Hessian P against the action's Hessian H at the constant identity path,
-    for random (N, n, alpha) and directions v.  Hv is the Richardson value of
-    central gradient differences at steps ``eps = 1e-3`` and ``2 eps``, exact
-    up to round-off since the gradient is cubic."""
+    Hessian P against the action's Hessian H along constant affine paths
+    ``phi_k = c_0 + c_1 z``, where P is exact, for random (N, n, alpha),
+    ``c_0``, ``c_1`` with ``0.5 <= |c_1| <= 1.5`` and directions v.  Hv is the
+    Richardson value of central gradient differences at steps ``eps = 1e-3``
+    and ``2 eps``, exact up to round-off since the gradient is cubic."""
     eps = 1e-3
     worst = 0.0
     for _ in range(count):
         num_steps, n = rng.integers(2, 25), rng.integers(2, 17)
         alpha = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
-        steps = np.tile(identity_map(n), (num_steps + 1, 1))
+        affine = np.zeros(n, dtype=complex)
+        affine[0] = _near(rng, 0.0)
+        affine[1] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        steps = np.tile(affine, (num_steps + 1, 1))
         v = np.zeros_like(steps)
         v[1:-1] = _steps(rng, (num_steps - 1, n))
         grads = [action_and_gradient(DiscretePath(steps + t * v), alpha)[1].ravel()
                  for t in (eps, -eps, 2 * eps, -2 * eps)]
         hv = (8 * (grads[0] - grads[1]) - grads[2] + grads[3]) / (12 * eps)
-        p_hv = _inverse_hessian_at_identity(n, num_steps, alpha)(hv.view(float))
+        p_hv = _inverse_hessian_along(steps, alpha)(hv.view(float))
         v = v[1:-1].ravel().view(float)
         worst = np.maximum(worst, np.max(np.abs(p_hv - v)) / np.max(np.abs(v)))
     return worst
@@ -280,7 +284,7 @@ BATTERY = [
     # larger actions take a larger difference step
     ("analytic action gradient matches finite differences at (N, n) = (20, 16)",
      gradient, (1, (21, 16), 0.7, 1e-4), 1e-6),
-    ("L-BFGS preconditioner inverts the action's Hessian at the identity path",
+    ("L-BFGS preconditioner inverts the action's Hessian along constant affine paths",
      preconditioner, (10,), 1e-10),
     ("reduced dynamics conserve energy and Clairaut momentum", conservation, (5,), 1e-10),
     ("closed form agrees with integrated dynamics", shooting, (3,), 1e-7),

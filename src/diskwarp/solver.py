@@ -3,8 +3,9 @@
 Given a target map, the solver truncates it to the working degree bound,
 interpolates linearly from the identity to build an initial path, and runs
 limited-memory BFGS over the interior coefficients until the gradient sup-norm
-reaches ``grad_tol``, preconditioned by the exact inverse Hessian of the
-action at the constant identity path.  Its line search falls back on the
+reaches ``grad_tol``, preconditioned by the inverse of the metric along that
+initial path, the exact inverse Hessian of the action at every constant
+affine path (see ``_inverse_hessian_along``).  Its line search falls back on the
 directional derivative once f stops resolving the decrease.  Each evaluation
 is one call of the batched kernel :func:`~diskwarp.action.action_and_gradient`
 for action and gradient together.  Endpoints are never touched, so a target
@@ -22,7 +23,8 @@ import numpy as np
 
 from .action import DiscretePath, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
-from .poly import _FLOAT_MAX, _is_integer, _is_number, as_coeffs, check_alpha, derivative, evaluate
+from .poly import (_FLOAT_MAX, _is_integer, _is_number, as_coeffs, check_alpha, derivative,
+                   evaluate, monomial_weights)
 
 __all__ = [
     "SolverConfig",
@@ -212,7 +214,7 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         fun_grad, x, f, g,
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
-        inv_hess=_inverse_hessian_at_identity(config.n, config.num_steps, config.alpha),
+        inv_hess=_inverse_hessian_along(path.steps, config.alpha),
     )
     # the last evaluation may have been a rejected trial step
     interior[...] = x.view(complex).reshape(interior.shape)
@@ -245,21 +247,42 @@ def _certified(result: GeodesicResult) -> GeodesicResult:
     return result
 
 
-def _inverse_hessian_at_identity(n: int, num_steps: int, alpha: float):
-    """The inverse of the action's Hessian at the constant identity path,
-    applied to a gradient in the solver's interleaved coordinates.
+def _inverse_hessian_along(steps: np.ndarray, alpha: float):
+    """The inverse of the metric along the path ``steps``, as a model of the
+    action's Hessian, applied to a gradient in the solver's interleaved
+    coordinates.
 
-    There ``m' = 1`` and every increment is zero, so the Hessian is exactly
-    ``pi N T (x) diag(1/(j+1) + alpha j)`` per real coordinate, with the time
-    Laplacian ``T = tridiag(-1, 2, -1)`` of order N-1, whose inverse is
-    ``T**-1[i, k] = min(i, k)(N - max(i, k)) / N``.
+    The model is diagonal in the coefficient j and, in time, the path
+    Laplacian T_j whose interval k has the conductance ``c[k, j] = N
+    (||phi_k' z**j||**2 + ||phi_{k+1}' z**j||**2) / 2 + N alpha pi j`` per real
+    coordinate, with ``||p z**j||**2 = sum_i |p_i|**2 pi/(i+j+1)``.  It is the
+    Hessian at every constant affine path ``c_0 + c_1 z``, where the
+    increments vanish and ``phi' = c_1``.  The endpoint average is positive
+    on any straight-line start that passes the endpoint gate, whose
+    derivative vanishes at one time at most; a midpoint map can be zero.
+    With cumulative resistances ``r = cumsum(1/c)`` from step 0 and ``R =
+    r_N``, ``T_j**-1[i, l] = r_min (R - r_max) / R``: two cumulative sums.
     """
-    i = np.arange(1, num_steps)
-    t_inv = np.minimum.outer(i, i) * (num_steps - np.maximum.outer(i, i)) / num_steps
+    num_steps, n = steps.shape[0] - 1, steps.shape[1]
+    sq = np.abs(derivative(steps))
+    sq *= sq
     j = np.arange(n)
-    # one weight per real coordinate, real and imaginary parts interleaved
-    weights = np.repeat(np.pi * num_steps * (1.0 / (j + 1.0) + alpha * j), 2)
-    return lambda g: (t_inv @ g.reshape(num_steps - 1, 2 * n) / weights).ravel()
+    norms = sq @ monomial_weights(2 * n - 1)[j[:, None] + j]
+    conductance = num_steps * (0.5 * (norms[:-1] + norms[1:]) + alpha * np.pi * j)
+    # r_1 .. r_N, one column per real coordinate, real and imaginary interleaved
+    r = np.repeat(np.cumsum(1.0 / conductance, axis=0), 2, axis=1)
+    total, r = r[-1], r[:-1]
+    near, far = r / total, (total - r) / total
+
+    def apply(g):
+        # row i: (R - r_i)/R sum_{l <= i} r_l g_l + r_i/R sum_{l > i} (R - r_l) g_l
+        g = g.reshape(r.shape)
+        out = far * np.cumsum(r * g, axis=0)
+        beyond = np.cumsum(((total - r) * g)[::-1], axis=0)[::-1]
+        out[:-1] += near[:-1] * beyond[1:]
+        return out.ravel()
+
+    return apply
 
 
 def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
@@ -270,7 +293,8 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     converged); the history lists f at the start and at every accepted iterate.
     ``inv_hess`` maps a gradient to its image under ``H0``, the initial
     inverse Hessian of the two-loop recursion (scaled there by ``s.y / y.H0 y``
-    of the latest pair), which is positive definite; as only pairs with ``s.y
+    of the latest pair): ``solve`` passes the inverse of the metric along its
+    start path, which is positive definite; as only pairs with ``s.y
     > 0`` are kept, so is the two-loop matrix, and every direction descends
     (Nocedal and Wright, *Numerical Optimization*, 7.2).  The loop stops on
     convergence, on the iteration budget, or when a line search runs out of
