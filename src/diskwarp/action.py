@@ -19,6 +19,7 @@ inverse FFTs against the conjugate spectra give the gradient's correlations.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,9 +110,54 @@ def _spectrum(x: np.ndarray) -> np.ndarray:
 
 def _sq_norms(x: np.ndarray) -> float:
     """``sum_k <x_k, x_k>`` over the rows of a shifted-layout array."""
-    sq = np.abs(x)
+    return _sq_norms_into(x, np.empty(x.shape), np.empty(x.shape[0]))
+
+
+def _sq_norms_into(x: np.ndarray, sq: np.ndarray, totals: np.ndarray) -> float:
+    """:func:`_sq_norms`, through the real arrays ``sq`` of x's shape and
+    ``totals`` of its row count."""
+    np.abs(x, out=sq)
     sq *= sq
-    return float(np.sum(sq @ _shifted_weights(x.shape[1])))
+    return float(np.sum(np.matmul(sq, _shifted_weights(x.shape[1]), out=totals)))
+
+
+class _Workspace:
+    """Every intermediate array of :func:`action_and_gradient` for paths of
+    one shape (N+1, n): factors and products of length n, spectra of the FFT
+    length ``size``, and the complex multipliers, which spare the kernel's
+    products any cast."""
+
+    def __init__(self, rows: int, n: int):
+        intervals, size = rows - 1, 1 << (2 * n - 2).bit_length()
+        self.j = np.arange(n).astype(complex)
+        self.half_j = 0.5 * self.j
+        self.weights = _shifted_weights(2 * n - 1).astype(complex)
+        self.derivs = np.empty((rows, n), complex)
+        self.diffs, self.delta, self.mid = np.empty((3, intervals, n), complex)
+        self.weighted_prods = np.empty((intervals, 2 * n - 1), complex)
+        self.sq_prods = np.empty((intervals, 2 * n - 1))
+        self.sq_diffs = np.empty((intervals, n))
+        self.totals = np.empty(intervals)
+        self.spectra = np.empty((2, intervals, size), complex)
+        self.product, self.inverse, self.weighted = np.empty((3, intervals, size), complex)
+        self.grad = np.empty((intervals - 1, n), complex)
+
+
+# The kernel's workspaces of the calling thread, by path shape, least recently
+# used first; a solve alternates few shapes (the benchmark's large workload two).
+_WORKSPACES = 4
+_local = threading.local()
+
+
+def _workspace(shape: tuple[int, int]) -> _Workspace:
+    cache = _local.__dict__.setdefault("workspaces", {})
+    workspace = cache.pop(shape, None)
+    if workspace is None:
+        workspace = _Workspace(*shape)
+        if len(cache) == _WORKSPACES:
+            del cache[next(iter(cache))]
+    cache[shape] = workspace
+    return workspace
 
 
 def discrete_action(path: DiscretePath, alpha: float, mode: str = "naive") -> float:
@@ -146,30 +192,47 @@ def action_and_gradient(path: DiscretePath, alpha: float) -> tuple[float, np.nda
     with respect to coefficient j of its end step is ``(j/2 <prod_k,
     z**(j-1) delta_k> + <prod_k, z**j m_k'> + alpha pi j delta_k[j]) / h``;
     for its start step the last two terms change sign.
+
+    Every intermediate array, the FFTs' included, is written into a
+    workspace that the calling thread keeps for its last four path shapes,
+    so a call allocates only the gradient it returns.  The values are those
+    of the same operations on fresh arrays, bit for bit.
     """
     alpha = check_alpha(alpha)
     if path.num_intervals < 2:
         raise ValueError("gradient needs at least one interior step (N >= 2)")
     steps, n, h = path.steps, path.degree_bound, path.h
-    derivs = steps * np.arange(n)
-    diffs = derivs[1:] - derivs[:-1]
-    spectra = _spectrum(steps[1:] - steps[:-1]), _spectrum((derivs[:-1] + derivs[1:]) / 2.0)
-    prods = np.fft.ifft(spectra[0] * spectra[1], axis=-1)[:, : 2 * n - 1]
-    action = (_sq_norms(prods) + alpha * _sq_norms(diffs)) / (2.0 * h)
-    weighted = np.fft.fft(prods * _shifted_weights(2 * n - 1), spectra[0].shape[1], axis=-1)
-    # Released early: a lower peak spares the page faults of regrowing the
-    # heap on every call.
-    del prods
+    w = _workspace(steps.shape)
+    size = w.spectra.shape[-1]
+    derivs = np.multiply(steps, w.j, out=w.derivs)
+    diffs = np.subtract(derivs[1:], derivs[:-1], out=w.diffs)
+    mid = np.add(derivs[:-1], derivs[1:], out=w.mid)
+    mid /= 2.0
+    spectra = (np.fft.fft(np.subtract(steps[1:], steps[:-1], out=w.delta), size, axis=-1,
+                          out=w.spectra[0]),
+               np.fft.fft(mid, size, axis=-1, out=w.spectra[1]))
+    prods = np.fft.ifft(np.multiply(*spectra, out=w.product), axis=-1, out=w.inverse)
+    prods = prods[:, : 2 * n - 1]
+    action = (_sq_norms_into(prods, w.sq_prods, w.totals)
+              + alpha * _sq_norms_into(diffs, w.sq_diffs, w.totals)) / (2.0 * h)
+    weighted = np.fft.fft(np.multiply(prods, w.weights, out=w.weighted_prods), size, axis=-1,
+                          out=w.weighted)
     # <prod_k, z**(j-1) delta_k> and <prod_k, z**j m_k'> for j < n, each one
     # inverse FFT of the weighted products' spectrum times a conjugate factor
     # spectrum.  The circular correlation reads product coefficients up to
     # j + n - 1 < 2n - 1 <= size, so wrap-around cannot reach them.
     for s in spectra:
         np.multiply(np.conjugate(s, out=s), weighted, out=s)
-    corr_delta, corr_mid = (np.fft.ifft(s, axis=-1)[:, :n] for s in spectra)
-    shared = 0.5 * np.arange(n) * corr_delta
-    signed = corr_mid + (alpha * np.pi) * diffs
-    return action, (shared[:-1] + signed[:-1] + shared[1:] - signed[1:]) / h
+    corr_delta = np.fft.ifft(spectra[0], axis=-1, out=w.inverse)[:, :n]
+    corr_mid = np.fft.ifft(spectra[1], axis=-1, out=w.product)[:, :n]
+    # the factors' arrays are free once their spectra are taken
+    shared = np.multiply(w.half_j, corr_delta, out=w.delta)
+    signed = np.multiply(alpha * np.pi, diffs, out=w.mid)
+    np.add(corr_mid, signed, out=signed)
+    grad = np.add(shared[:-1], signed[:-1], out=w.grad)
+    grad += shared[1:]
+    grad -= signed[1:]
+    return action, np.divide(grad, h)
 
 
 def action_gradient(path: DiscretePath, alpha: float) -> np.ndarray:

@@ -149,7 +149,12 @@ def certificate(rng, count):
     0`` and k - 1 a divisor of 64, whose ``|p'|`` is least at k - 1 grid
     directions of each ring, where Horner's values differ in the last bits;
     and the identity followed by ``z + 0.6 w z**2`` for a random grid
-    direction w, whose second row can have one candidate point alone.
+    direction w, whose second row can have one candidate point alone; and
+    the identity, ``z + c z**2`` with a zero of ``p'`` planted on a random
+    grid point of the ring of radius 3/8, where its least ``|p'|`` lies,
+    and ``z + 0.3 v z**2`` for a random unit v, whose coefficient bound
+    clears every inner ring, so that the screen runs some inner rings'
+    FFTs and skips others in one path.
     """
     wrong = 0
     for trial in range(count):
@@ -165,7 +170,10 @@ def certificate(rng, count):
         ties[:, k] = -rng.uniform(0.1, 0.9, 2) / k
         single = np.tile(identity_map(n), (2, 1))
         single[1, 2] = 0.6 * np.exp(2j * np.pi * rng.integers(_ANGLES) / _ANGLES)
-        for steps in (decaying, ties, single):
+        planted = np.tile(identity_map(n), (3, 1))
+        planted[1, 2] = -1 / (0.75 * np.exp(2j * np.pi * rng.integers(_ANGLES) / _ANGLES))
+        planted[2, 2] = 0.3 * np.exp(2j * np.pi * rng.uniform())
+        for steps in (decaying, ties, single, planted):
             full = np.min(np.abs(evaluate(derivative(steps), _GRID)), axis=-1)
             screened = certify_conformal(DiscretePath(steps))
             wrong += int(np.sum(screened.view(np.uint64) != full.view(np.uint64)))

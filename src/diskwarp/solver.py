@@ -11,7 +11,9 @@ is one call of the batched kernel :func:`~diskwarp.action.action_and_gradient`
 for action and gradient together.  Endpoints are never touched, so a target
 that fails certification fails before any iteration.  Optimization happens in
 the ambient coefficient space; membership in the conformal maps is certified
-afterwards by sampling the derivative modulus on a polar grid.
+afterwards by sampling the derivative modulus on a polar grid, whose inner
+rings, and the endpoints' samples, a coefficient bound spares where it
+decides the outcome.
 """
 
 from __future__ import annotations
@@ -139,44 +141,87 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
     such candidate points over the steps.  A step whose terms past ``d_0``
     sum to at most the margin (the identity, a linear map), or that holds a
     NaN or an infinity, takes the whole grid.
+
+    The outer ring's FFT runs first.  An inner ring's runs only for the
+    steps whose coefficient bound ``|d_0| - sum_{j>=1} |d_j| r**j`` on that
+    ring does not clear the least outer estimate by two margins: elsewhere
+    every estimate on the ring lies more than a margin above the step's
+    least, so none of its points can be a candidate, and the candidate set
+    is that of every ring's FFT.
     """
     d = derivative(path.steps)
     rows, n = d.shape
-    moduli = np.abs(d)
-    tail = np.sum(moduli[:, 1:], axis=1)
-    margin = (n + _ANGLES) * (2.0**-40 * (moduli[:, 0] + tail) + np.finfo(float).tiny)
+    moduli, tail, margin = _screen(d)
     flat = ~(tail > margin)  # NaN compares false: a NaN or an infinity is flat
     minima = np.empty(rows)
     if flat.any():
         minima[flat] = np.min(np.abs(evaluate(d[flat], _GRID)), axis=-1)
     if not flat.all():
+        d, moduli, margin = d[~flat], moduli[~flat], margin[~flat]
+        powers = _RINGS[:, None] ** np.arange(n)
         # each ring's r**j as complex numbers, for a screen product of one dtype
-        estimate = _ring_estimate(d[~flat], (_RINGS[:, None] ** np.arange(n)).astype(complex))
+        rings = powers.astype(complex)
+        estimate = np.full((len(d), len(_RINGS), _ANGLES), np.inf)
+        estimate[:, -1] = _ring_estimate(d, rings[-1])
+        least = estimate[:, -1].min(axis=1)
+        # No skipped ring could have overflowed to NaN: a step that is not flat
+        # has a finite |d_0| + tail, and an inner ring's FFT sums stay below
+        # |d_0| + sum_{j>=1} |d_j| r**j, short of it by tail/8 at least, far
+        # beyond round-off.
+        screened = _coefficient_bound(moduli, powers[:-1]) > (least + 2 * margin)[:, None]
+        inner, ring = np.nonzero(~screened)
+        if len(inner):
+            estimate[inner, ring] = _ring_estimate(d[inner], rings[ring])
+        estimate = np.concatenate([moduli[:, :1], estimate.reshape(len(d), -1)], axis=1)
         # an estimate that overflowed to NaN makes every point a candidate
-        near = ~(estimate > (estimate.min(axis=1) + margin[~flat])[:, None])
+        near = ~(estimate > (estimate.min(axis=1) + margin)[:, None])
         # Never one point: for a single row at a single point numpy's complex
         # product runs a scalar loop without the fused multiply-add of its
         # vector loop, and the last bit can differ from the whole grid's.
         near[:, :2] = True
         columns = np.flatnonzero(near.any(axis=0))
-        minima[~flat] = np.min(np.abs(evaluate(d[~flat], _GRID[columns])), axis=-1)
+        minima[~flat] = np.min(np.abs(evaluate(d, _GRID[columns])), axis=-1)
     return minima
 
 
+def _screen(d: np.ndarray):
+    """``|d|``, ``sum_{j>=1} |d_j|`` and the margin of
+    :func:`certify_conformal` for each coefficient row of a derivative ``d``."""
+    moduli = np.abs(d)
+    tail = np.sum(moduli[:, 1:], axis=1)
+    margin = (d.shape[1] + _ANGLES) * (2.0**-40 * (moduli[:, 0] + tail) + np.finfo(float).tiny)
+    return moduli, tail, margin
+
+
+def _coefficient_bound(moduli: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The lower bound ``|d_0| - sum_{j>=1} |d_j| r**j`` on ``|p'|`` over the
+    closed disk of radius r, for each row ``|d|`` of ``moduli`` (rows, n) and
+    each radius whose ``r**j``, j < n, a row of ``powers`` holds: (rows,
+    radii).  At r = 1 it is the coefficient test of Noshiro and Warschawski
+    (Duren, *Univalent Functions*, 1983), which also proves univalence."""
+    return moduli[:, :1] - moduli[:, 1:] @ powers[:, 1:].T
+
+
+def _bound_passes(ends: np.ndarray) -> bool:
+    """Whether the coefficient bound at r = 1 decides that every row of
+    ``ends`` passes certification: it clears :data:`CONFORMAL_MIN_DERIV` by
+    two margins, beyond the round-off of the sampled certificate."""
+    moduli, _, margin = _screen(derivative(ends))
+    bound = _coefficient_bound(moduli, np.ones((1, ends.shape[1])))[:, 0]
+    return bool(np.all(bound > CONFORMAL_MIN_DERIV + 2 * margin))
+
+
 def _ring_estimate(d: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """``|p'|`` at every point of :data:`_GRID`, for each coefficient row of
-    ``d``, from one inverse FFT per ring; ``powers`` holds each ring's
-    ``r**j`` for ``j < n``."""
-    rows, n = d.shape
-    terms = d[:, None, :] * powers
+    """``|p'|`` at the :data:`_ANGLES` points of a ring of :data:`_GRID`, for
+    each coefficient row of ``d``, from one inverse FFT per row: (rows,
+    _ANGLES).  ``powers`` holds the ring's ``r**j`` for ``j < n``, one row for
+    all rows of ``d`` or one ring per row."""
+    terms = d * powers
+    n = terms.shape[-1]
     for start in range(_ANGLES, n, _ANGLES):  # w**(j m) depends on j mod M only
         block = terms[..., start:start + _ANGLES]
         terms[..., :block.shape[-1]] += block
-    rings = np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward")
-    estimate = np.empty((rows, 1 + rings[0].size))
-    estimate[:, 0] = np.abs(d[:, 0])
-    np.abs(rings.reshape(rows, -1), out=estimate[:, 1:])
-    return estimate
+    return np.abs(np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward"))
 
 
 def solve(config: SolverConfig, target) -> GeodesicResult:
@@ -186,8 +231,12 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     out before the gradient reaches ``grad_tol``, and NotConformalError when
     any step of the accepted path fails certification.  Before any iteration,
     one quiet evaluation of the start raises the latter if an endpoint fails
-    certification and the former if its action or gradient is not finite.
-    Both carry the offending result on their ``result`` attribute.
+    certification and the former if its action, its gradient or that
+    gradient's image under the initial inverse Hessian is not finite.  Both
+    carry the offending result on their ``result`` attribute.  The endpoints
+    pass without sampling where the coefficient bound ``|c_1| - sum_{j>=2}
+    j|c_j|`` on ``|phi'|`` clears CONFORMAL_MIN_DERIV by two margins of
+    :func:`certify_conformal`, and are sampled as every step is otherwise.
     """
     path = initial_guess(project_by_truncation(target, config.n), config.num_steps)
     # the optimizer's variables are the interior rows, real and imaginary
@@ -203,18 +252,24 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     with np.errstate(all="ignore"):  # an overflowing target fails here, without warnings
         f, g = fun_grad(x)
         gnorm = float(np.max(np.abs(g)))
-        if not np.all(certify_conformal(DiscretePath(path.steps[[0, -1]])) > CONFORMAL_MIN_DERIV):
+        ends = path.steps[[0, -1]]
+        if not (_bound_passes(ends)
+                or np.all(certify_conformal(DiscretePath(ends)) > CONFORMAL_MIN_DERIV)):
             _certified(_result(path, f, gnorm, 0, False, [f]))
-        if not (np.isfinite(f) and np.isfinite(gnorm)):
+        inv_hess = _inverse_hessian_along(path.steps, config.alpha)
+        # the initial inverse Hessian's image of g, the first direction up to sign
+        pnorm = float(np.max(np.abs(inv_hess(g))))
+        if not (np.isfinite(f) and np.isfinite(gnorm) and np.isfinite(pnorm)):
             raise NoConvergenceError(
-                f"start not finite: action {f!r}, gradient sup-norm {gnorm!r}",
+                f"start not finite: action {f!r}, gradient sup-norm {gnorm!r}, "
+                f"preconditioned gradient sup-norm {pnorm!r}",
                 result=_result(path, f, gnorm, 0, False, [f]))
 
     x, f, gnorm, iters, history, converged = _lbfgs(
         fun_grad, x, f, g,
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
-        inv_hess=_inverse_hessian_along(path.steps, config.alpha),
+        inv_hess=inv_hess,
     )
     # the last evaluation may have been a rejected trial step
     interior[...] = x.view(complex).reshape(interior.shape)
@@ -298,7 +353,9 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     > 0`` are kept, so is the two-loop matrix, and every direction descends
     (Nocedal and Wright, *Numerical Optimization*, 7.2).  The loop stops on
     convergence, on the iteration budget, or when a line search runs out of
-    backtracks, as one with no trials does after a slope that is not negative.
+    backtracks, as one with no trials does after a slope that is not negative
+    and finite or a first step of 0, which a gradient norm that overflows
+    gives.
 
     A trial step passes the Armijo test or the round-off test of Hager and
     Zhang's approximate Wolfe conditions (SIAM J. Optim. 16, 2005): f rose
@@ -315,12 +372,14 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     iters = 0
 
     while gnorm > grad_tol and iters < max_iters:
-        d = _two_loop_direction(g, pairs, inv_hess)
-        slope = float(np.dot(g, d))
-
-        step = 1.0 if iters > 0 else min(1.0, 1.0 / (1.0 + np.linalg.norm(g)))
+        # A direction or a norm that over- or underflows ends the loop quietly
+        # below: its slope is not finite, or its first step is 0.
+        with np.errstate(all="ignore"):
+            d = _two_loop_direction(g, pairs, inv_hess)
+            slope = float(np.dot(g, d))
+            step = 1.0 if iters > 0 else min(1.0, 1.0 / (1.0 + np.linalg.norm(g)))
         roundoff = _ROUNDOFF_ULPS * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(60 if slope < 0 else 0):
+        for _ in range(60 if -np.inf < slope < 0 and step > 0 else 0):
             x_new = x + step * d
             f_new, g_new = fun_grad(x_new)
             if f_new <= f + _ARMIJO * step * slope or (
@@ -343,9 +402,10 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
 
 def _keep_pair(pairs, s, y):
     """Append ``(s, y, 1 / s.y)`` if ``s.y`` is positive beyond round-off."""
-    sy = float(np.dot(s, y))
-    if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-        pairs.append((s, y, 1.0 / sy))
+    with np.errstate(all="ignore"):  # a norm that overflows keeps no pair
+        sy = float(np.dot(s, y))
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
 
 
 def _two_loop_direction(g, pairs, inv_hess):

@@ -1,5 +1,8 @@
 """Kinetic energy, discrete action, and its analytic gradient."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -242,3 +245,43 @@ def test_alpha_validation():
             discrete_action(path, bad)
     with pytest.raises(ValueError):
         lagrangian([0, 1], [0, 1], -2.0)
+
+
+def test_returned_gradient_survives_the_next_call():
+    """The kernel's workspace is reused for every path of one shape, but the
+    gradient it returns is the caller's own."""
+    rng = np.random.default_rng(61)
+    first, second = random_path(rng, 20, 16), random_path(rng, 20, 16)
+    action, grad = action_and_gradient(first, 0.3)
+    kept = grad.copy()
+    action_and_gradient(second, 0.3)
+    assert np.array_equal(grad, kept)
+    assert action_and_gradient(first, 0.3)[0] == action
+
+
+def test_concurrent_threads_keep_their_own_workspace():
+    """Two threads evaluating paths of one shape at the same time get the
+    bits that the same calls give one after another."""
+    rng = np.random.default_rng(67)
+    paths = [[random_path(rng, 20, 16) for _ in range(200)] for _ in range(2)]
+    expected = [[action_and_gradient(path, 0.3) for path in batch] for batch in paths]
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def evaluate(i):
+        start.wait()
+        results[i] = [action_and_gradient(path, 0.3) for path in paths[i]]
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert [(f, g.tobytes()) for f, g in got] == [(f, g.tobytes()) for f, g in want]

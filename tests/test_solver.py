@@ -1,5 +1,11 @@
 """Two-point geodesic solver."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -13,6 +19,7 @@ from diskwarp.errors import NoConvergenceError, NotConformalError
 from diskwarp.linear_geodesics import closed_form
 from diskwarp.poly import derivative, evaluate
 from diskwarp.solver import (
+    _ANGLES,
     CONFORMAL_MIN_DERIV,
     SolverConfig,
     certify_conformal,
@@ -131,7 +138,9 @@ def test_ring_estimate_is_within_half_the_margin():
         steps = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         d = derivative(steps * rng.uniform(0.2, 1.0) ** np.arange(n))
         powers = (solver_module._RINGS[:, None] ** np.arange(n)).astype(complex)
-        estimate = solver_module._ring_estimate(d, powers)
+        estimate = np.concatenate([np.abs(d[:, :1])]
+                                  + [solver_module._ring_estimate(d, ring) for ring in powers],
+                                  axis=1)
         margin = (n + solver_module._ANGLES) * 2.0**-40 * np.sum(np.abs(d), axis=1)
         gap = np.abs(estimate - np.abs(evaluate(d, solver_module._GRID))) / margin[:, None]
         worst = max(worst, float(np.max(gap)))
@@ -447,3 +456,129 @@ def test_lbfgs_directions_descend():
         for g in rng.standard_normal((10, size)):
             assert np.dot(g, solver_module._two_loop_direction(g, pairs, inv_hess)) < 0
     assert kept > 500
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1e150, 1e300, 1e306, np.finfo(float).max])
+def test_huge_alpha_fails_quietly(alpha):
+    """At these alphas the two-loop direction, the gradient's 2-norm or the
+    initial inverse Hessian overflows: the solve ends in NoConvergenceError,
+    with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergenceError):
+            solve(SolverConfig(n=4, num_steps=20, alpha=alpha), [0, 1.01])
+
+
+# (N, n) of the cycle: more shapes than the kernel keeps workspaces for
+CYCLED_SHAPES = [(6, 4), (10, 8), (20, 16), (8, 24), (12, 12), (5, 33)]
+CYCLE_TARGET = [0, 0.9, 0.1, 0.05j, -0.02]
+
+
+def _solve_digest(num_steps, n):
+    result = solve(SolverConfig(n=n, num_steps=num_steps, alpha=0.1), CYCLE_TARGET)
+    data = (np.float64(result.action).tobytes() + result.path.steps.tobytes()
+            + result.conformal_certificate.tobytes())
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_cycling_shapes_matches_a_fresh_process():
+    """Solves cycled twice over six shapes, which evicts and rebuilds the
+    kernel's workspaces, give the bits of the same solves in a new
+    interpreter."""
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_solver as t; "
+              "print(json.dumps([t._solve_digest(*shape) for shape in t.CYCLED_SHAPES]))")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    fresh = json.loads(subprocess.run([sys.executable, "-c", script, str(here)], env=env,
+                                      capture_output=True, text=True, check=True, timeout=300).stdout)
+    for _ in range(2):
+        assert [_solve_digest(*shape) for shape in CYCLED_SHAPES] == fresh
+
+
+@pytest.mark.parametrize("name, num_steps, degree_bound", [("example5a", 40, 64),
+                                                          ("example5c", 20, 128)])
+def test_coefficient_bound_spares_the_inner_rings_and_the_gate(monkeypatch, name, num_steps,
+                                                               degree_bound):
+    """On the benchmark's large solves of the conformal analogues, the
+    coefficient bound passes the endpoints without sampling them, and the
+    final certificate runs the outer ring's FFT only."""
+    certified, rings = [], []
+    certify, ring_estimate = solver_module.certify_conformal, solver_module._ring_estimate
+
+    def spy_certify(path):
+        certified.append(path.steps.shape)
+        return certify(path)
+
+    def spy_rings(d, powers):
+        rings.append(np.array_equal(powers, np.ones(powers.shape)))
+        return ring_estimate(d, powers)
+
+    monkeypatch.setattr(solver_module, "certify_conformal", spy_certify)
+    monkeypatch.setattr(solver_module, "_ring_estimate", spy_rings)
+    config = load_config(SHIPPED_CONFIGS[0].parent / f"{name}.json")
+    result = solve(SolverConfig(n=degree_bound, num_steps=num_steps, alpha=config.alpha),
+                   conformal_analogue(config.target))
+    assert result.converged
+    assert certified == [(num_steps + 1, degree_bound)]
+    assert rings == [True]
+    assert np.array_equal(result.conformal_certificate, full_grid_minima(result.path.steps))
+
+
+def test_shipped_target_goes_through_the_sampled_gate(monkeypatch):
+    """example5a's target fails the coefficient bound (its phi' has zeros in
+    the disk), so its endpoints are sampled before the solve."""
+    certified = []
+    certify = solver_module.certify_conformal
+
+    def spy(path):
+        certified.append(path.steps.shape[0])
+        return certify(path)
+
+    monkeypatch.setattr(solver_module, "certify_conformal", spy)
+    config = load_config(SHIPPED_CONFIGS[0].parent / "example5a.json")
+    target = project_by_truncation(config.target, config.degree_bound)
+    assert not solver_module._bound_passes(target[None])
+    solve(SolverConfig(n=config.degree_bound, num_steps=config.num_steps, alpha=config.alpha),
+          config.target)
+    assert certified == [2, config.num_steps + 1]
+
+
+def test_bound_decided_gate_is_sound():
+    """Wherever the coefficient bound passes a pair of endpoints, the sampled
+    certificate passes them too.  The pairs are the identity and a target
+    with ``|c_1| - sum_{j>=2} j|c_j|`` within 1e-6 of CONFORMAL_MIN_DERIV, at
+    log-uniform distances down to 1e-16 so that some sit within the bound's
+    margins, or far above it at ``|c_1|/2``.  Half the near targets align
+    every term against ``c_1`` at a grid direction, where ``|phi'|`` attains
+    the bound."""
+    rng = np.random.default_rng(71)
+    decided = {"near": 0, "far": 0}
+    undecided = 0
+    for trial in range(400):
+        n = int(rng.integers(3, 80))
+        target = np.zeros(n, dtype=complex)
+        target[0] = rng.standard_normal() + 1j * rng.standard_normal()
+        target[1] = rng.uniform(0.01, 2.0) * np.exp(2j * PI * rng.uniform())
+        j = np.arange(2, n)
+        weights = rng.uniform(0, 1, n - 2) * rng.uniform(0.3, 1.0) ** j
+        if trial % 2:  # j c_j z**(j-1) = -weight c_1 / |c_1| at z = w
+            w = np.exp(2j * PI * rng.integers(_ANGLES) / _ANGLES)
+            target[2:] = -weights * target[1] / abs(target[1]) / (j * w ** (j - 1))
+        else:
+            target[2:] = weights * np.exp(2j * PI * rng.uniform(size=n - 2)) / j
+        kind = "far" if trial % 4 >= 2 else "near"
+        if kind == "far":
+            total = abs(target[1]) / 2
+        else:
+            offset = rng.choice([-1, 1]) * 10 ** rng.uniform(-16, -6)
+            total = max(abs(target[1]) - CONFORMAL_MIN_DERIV + offset, 0)
+        target[2:] *= total / np.sum(j * np.abs(target[2:]))
+        ends = np.stack([identity_map(n), target])
+        if solver_module._bound_passes(ends):
+            decided[kind] += 1
+            assert np.all(certify_conformal(DiscretePath(ends)) > CONFORMAL_MIN_DERIV)
+        else:
+            undecided += 1
+    assert decided["far"] == 200
+    assert decided["near"] > 20 and undecided > 20
