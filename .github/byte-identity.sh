@@ -4,8 +4,10 @@
 # Runs each tree's code on that tree's configs into OUT_DIR/base and
 # OUT_DIR/head, then diffs the two: every shipped config's solve outputs, as
 # shipped and as CSV, example5a's at (N, n) = (40, 64) and example5c's at
-# (20, 128), the linear configs' oracle outputs, as SVG and as CSV, and
-# example5a's sweep over alpha = 0.1 and 10, one subdirectory each.
+# (20, 128), with their targets and with the conformal analogues that the
+# benchmark's nonzero seeds solve, the linear configs' oracle outputs, as SVG
+# and as CSV, and example5a's sweep over alpha = 0.1 and 10, one
+# subdirectory each.
 # Lists the differing files, sorted, and their count, then prints the full
 # diff. Exits 0 when they are byte-identical and 1 when any file differs.
 set -eo pipefail
@@ -22,9 +24,21 @@ outputs() {  # outputs TREE DEST: run TREE's code on TREE's configs into DEST
   for size in example5a,40,64 example5c,20,128; do  # the benchmark's large (N, n)
     IFS=, read -r name steps degree <<< "$size"
     large="$2.$name-$steps-$degree.json"  # the same config at that (N, n)
-    python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["N"], c["n"] = map(int, sys.argv[3:]); json.dump(c, open(sys.argv[2], "w"))' \
-      "$1/configs/$name.json" "$large" "$steps" "$degree"
+    analogue="$2.$name-$steps-$degree-analogue.json"  # and with its conformal analogue
+    python -c '
+import json, sys
+import numpy as np
+c = json.load(open(sys.argv[1]))
+c["N"], c["n"] = map(int, sys.argv[4:])
+json.dump(c, open(sys.argv[2], "w"))
+# c_2, c_3, ... scaled by one factor so that sum_{j>=2} j|c_j| = |c_1|/2
+t = np.array([complex(*pair) for pair in c["target"]])
+t[2:] *= 0.5 * abs(t[1]) / np.sum(np.arange(2, len(t)) * np.abs(t[2:]))
+c["target"] = [[z.real, z.imag] for z in t.tolist()]
+json.dump(c, open(sys.argv[3], "w"))' "$1/configs/$name.json" "$large" "$analogue" "$steps" "$degree"
     PYTHONPATH="$1/src" python -m diskwarp.cli solve "$large" --output "$2/solve-large/$name-$steps-$degree"
+    PYTHONPATH="$1/src" python -m diskwarp.cli solve "$analogue" \
+      --output "$2/solve-analogue/$name-$steps-$degree"
   done
   for name in example1a example1b example2a example2b; do
     PYTHONPATH="$1/src" python -m diskwarp.cli oracle "$1/configs/$name.json" \

@@ -11,9 +11,10 @@ a uniform grid over [0, 1]; each interval contributes a midpoint-rule term
 
 where ``m = (u+v)/2`` and ``h`` is the step.  The discrete action sums these
 terms.  :func:`action_and_gradient`, the solver's kernel, returns it with its
-analytic gradient in one batched pass with no loop over intervals: FFTs of all
-midpoint derivatives and increments give every product ``m_k' delta_k``, and
-inverse FFTs against the conjugate spectra give the gradient's correlations.
+analytic gradient in one batched pass with no loop: one stacked FFT of all
+increments and midpoint derivatives gives every product ``m_k' delta_k``, and
+one stacked inverse FFT against both conjugate spectra gives the gradient's
+correlations.
 :func:`discrete_action` keeps a direct-convolution ``naive`` reference mode.
 """
 
@@ -48,10 +49,9 @@ class DiscretePath:
 
     def __post_init__(self):
         steps = np.asarray(self.steps, dtype=complex)
-        if steps.ndim != 2 or steps.shape[0] < 2:
-            raise ValueError(
-                f"path needs at least two steps of equal degree bound, got shape {steps.shape}"
-            )
+        if steps.ndim != 2 or steps.shape[0] < 2 or steps.shape[1] < 1:
+            raise ValueError("path needs at least two steps of one degree bound n >= 1, "
+                             f"got shape {steps.shape}")
         object.__setattr__(self, "steps", steps)
 
     @property
@@ -125,7 +125,8 @@ class _Workspace:
     """Every intermediate array of :func:`action_and_gradient` for paths of
     one shape (N+1, n): factors and products of length n, spectra of the FFT
     length ``size``, and the complex multipliers, which spare the kernel's
-    products any cast."""
+    products any cast.  ``factors`` stacks ``delta`` over ``mid``, so that
+    one transform each way serves both."""
 
     def __init__(self, rows: int, n: int):
         intervals, size = rows - 1, 1 << (2 * n - 2).bit_length()
@@ -133,31 +134,26 @@ class _Workspace:
         self.half_j = 0.5 * self.j
         self.weights = _shifted_weights(2 * n - 1).astype(complex)
         self.derivs = np.empty((rows, n), complex)
-        self.diffs, self.delta, self.mid = np.empty((3, intervals, n), complex)
+        self.diffs = np.empty((intervals, n), complex)
+        self.factors = np.empty((2, intervals, n), complex)
         self.weighted_prods = np.empty((intervals, 2 * n - 1), complex)
         self.sq_prods = np.empty((intervals, 2 * n - 1))
         self.sq_diffs = np.empty((intervals, n))
         self.totals = np.empty(intervals)
         self.spectra = np.empty((2, intervals, size), complex)
-        self.product, self.inverse, self.weighted = np.empty((3, intervals, size), complex)
+        # A measured layout: with ``inverse`` in a block of its own, or in
+        # one with ``spectra``, the benchmark's large solves ran 2-5% slower.
+        transforms = np.empty((3, intervals, size), complex)
+        self.inverse, self.weighted = transforms[:2], transforms[2]
         self.grad = np.empty((intervals - 1, n), complex)
 
 
-# The kernel's workspaces of the calling thread, by path shape, least recently
-# used first; a solve alternates few shapes (the benchmark's large workload two).
-_WORKSPACES = 4
-_local = threading.local()
-
-
-def _workspace(shape: tuple[int, int]) -> _Workspace:
-    cache = _local.__dict__.setdefault("workspaces", {})
-    workspace = cache.pop(shape, None)
-    if workspace is None:
-        workspace = _Workspace(*shape)
-        if len(cache) == _WORKSPACES:
-            del cache[next(iter(cache))]
-    cache[shape] = workspace
-    return workspace
+@lru_cache(maxsize=4)
+def _workspace(thread: int, rows: int, n: int) -> _Workspace:
+    """The kernel's workspace for paths of shape (rows, n) in the thread of
+    that identifier; a solve alternates few shapes (the benchmark's large
+    workload two), and the last four keys are kept."""
+    return _Workspace(rows, n)
 
 
 def discrete_action(path: DiscretePath, alpha: float, mode: str = "naive") -> float:
@@ -193,41 +189,41 @@ def action_and_gradient(path: DiscretePath, alpha: float) -> tuple[float, np.nda
     z**(j-1) delta_k> + <prod_k, z**j m_k'> + alpha pi j delta_k[j]) / h``;
     for its start step the last two terms change sign.
 
+    One stacked FFT transforms both factors, ``delta_k`` and ``m_k'``, and
+    one stacked inverse FFT gives both correlations: four FFT calls in all.
     Every intermediate array, the FFTs' included, is written into a
-    workspace that the calling thread keeps for its last four path shapes,
-    so a call allocates only the gradient it returns.  The values are those
-    of the same operations on fresh arrays, bit for bit.
+    workspace per thread and path shape, of which the last four are kept, so
+    a call allocates only the gradient it returns.  The values are those of
+    the same operations on fresh arrays, bit for bit.
     """
     alpha = check_alpha(alpha)
     if path.num_intervals < 2:
         raise ValueError("gradient needs at least one interior step (N >= 2)")
     steps, n, h = path.steps, path.degree_bound, path.h
-    w = _workspace(steps.shape)
+    w = _workspace(threading.get_ident(), *steps.shape)
     size = w.spectra.shape[-1]
     derivs = np.multiply(steps, w.j, out=w.derivs)
     diffs = np.subtract(derivs[1:], derivs[:-1], out=w.diffs)
-    mid = np.add(derivs[:-1], derivs[1:], out=w.mid)
+    delta, mid = w.factors
+    np.subtract(steps[1:], steps[:-1], out=delta)
+    np.add(derivs[:-1], derivs[1:], out=mid)
     mid /= 2.0
-    spectra = (np.fft.fft(np.subtract(steps[1:], steps[:-1], out=w.delta), size, axis=-1,
-                          out=w.spectra[0]),
-               np.fft.fft(mid, size, axis=-1, out=w.spectra[1]))
-    prods = np.fft.ifft(np.multiply(*spectra, out=w.product), axis=-1, out=w.inverse)
-    prods = prods[:, : 2 * n - 1]
+    spectra = np.fft.fft(w.factors, size, axis=-1, out=w.spectra)
+    product = np.multiply(spectra[0], spectra[1], out=w.inverse[0])
+    prods = np.fft.ifft(product, axis=-1, out=w.inverse[1])[:, : 2 * n - 1]
     action = (_sq_norms_into(prods, w.sq_prods, w.totals)
               + alpha * _sq_norms_into(diffs, w.sq_diffs, w.totals)) / (2.0 * h)
     weighted = np.fft.fft(np.multiply(prods, w.weights, out=w.weighted_prods), size, axis=-1,
                           out=w.weighted)
-    # <prod_k, z**(j-1) delta_k> and <prod_k, z**j m_k'> for j < n, each one
-    # inverse FFT of the weighted products' spectrum times a conjugate factor
-    # spectrum.  The circular correlation reads product coefficients up to
-    # j + n - 1 < 2n - 1 <= size, so wrap-around cannot reach them.
-    for s in spectra:
-        np.multiply(np.conjugate(s, out=s), weighted, out=s)
-    corr_delta = np.fft.ifft(spectra[0], axis=-1, out=w.inverse)[:, :n]
-    corr_mid = np.fft.ifft(spectra[1], axis=-1, out=w.product)[:, :n]
+    # <prod_k, z**(j-1) delta_k> and <prod_k, z**j m_k'> for j < n: one
+    # inverse FFT of the weighted products' spectrum times both conjugate
+    # factor spectra.  The circular correlation reads product coefficients up
+    # to j + n - 1 < 2n - 1 <= size, so wrap-around cannot reach them.
+    np.multiply(np.conjugate(spectra, out=spectra), weighted, out=spectra)
+    corr_delta, corr_mid = np.fft.ifft(spectra, axis=-1, out=w.inverse)[..., :n]
     # the factors' arrays are free once their spectra are taken
-    shared = np.multiply(w.half_j, corr_delta, out=w.delta)
-    signed = np.multiply(alpha * np.pi, diffs, out=w.mid)
+    shared = np.multiply(w.half_j, corr_delta, out=delta)
+    signed = np.multiply(alpha * np.pi, diffs, out=mid)
     np.add(corr_mid, signed, out=signed)
     grad = np.add(shared[:-1], signed[:-1], out=w.grad)
     grad += shared[1:]

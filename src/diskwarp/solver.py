@@ -97,7 +97,9 @@ class GeodesicResult:
 
 
 def identity_map(n: int) -> np.ndarray:
-    """Coefficients of ``phi(z) = z`` at degree bound n."""
+    """Coefficients of ``phi(z) = z`` at degree bound n >= 2."""
+    if n < 2:
+        raise ValueError(f"the identity needs degree bound n >= 2, got {n!r}")
     c = np.zeros(n, dtype=complex)
     c[1] = 1.0
     return c
@@ -164,11 +166,13 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
         estimate = np.full((len(d), len(_RINGS), _ANGLES), np.inf)
         estimate[:, -1] = _ring_estimate(d, rings[-1])
         least = estimate[:, -1].min(axis=1)
+        # Each inner ring's coefficient bound |d_0| - sum_{j>=1} |d_j| r**j.
         # No skipped ring could have overflowed to NaN: a step that is not flat
         # has a finite |d_0| + tail, and an inner ring's FFT sums stay below
         # |d_0| + sum_{j>=1} |d_j| r**j, short of it by tail/8 at least, far
         # beyond round-off.
-        screened = _coefficient_bound(moduli, powers[:-1]) > (least + 2 * margin)[:, None]
+        bound = moduli[:, :1] - moduli[:, 1:] @ powers[:-1, 1:].T
+        screened = bound > (least + 2 * margin)[:, None]
         inner, ring = np.nonzero(~screened)
         if len(inner):
             estimate[inner, ring] = _ring_estimate(d[inner], rings[ring])
@@ -193,22 +197,15 @@ def _screen(d: np.ndarray):
     return moduli, tail, margin
 
 
-def _coefficient_bound(moduli: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The lower bound ``|d_0| - sum_{j>=1} |d_j| r**j`` on ``|p'|`` over the
-    closed disk of radius r, for each row ``|d|`` of ``moduli`` (rows, n) and
-    each radius whose ``r**j``, j < n, a row of ``powers`` holds: (rows,
-    radii).  At r = 1 it is the coefficient test of Noshiro and Warschawski
-    (Duren, *Univalent Functions*, 1983), which also proves univalence."""
-    return moduli[:, :1] - moduli[:, 1:] @ powers[:, 1:].T
-
-
 def _bound_passes(ends: np.ndarray) -> bool:
-    """Whether the coefficient bound at r = 1 decides that every row of
-    ``ends`` passes certification: it clears :data:`CONFORMAL_MIN_DERIV` by
-    two margins, beyond the round-off of the sampled certificate."""
-    moduli, _, margin = _screen(derivative(ends))
-    bound = _coefficient_bound(moduli, np.ones((1, ends.shape[1])))[:, 0]
-    return bool(np.all(bound > CONFORMAL_MIN_DERIV + 2 * margin))
+    """Whether every row of ``ends`` passes certification by the coefficient
+    bound ``|d_0| - sum_{j>=1} |d_j|`` on ``|p'|`` over the closed disk, the
+    ring screen's bound at r = 1: it clears :data:`CONFORMAL_MIN_DERIV` by
+    two margins, beyond the round-off of the sampled certificate.  This is
+    the coefficient test of Noshiro and Warschawski (Duren, *Univalent
+    Functions*, 1983), which also proves univalence."""
+    moduli, tail, margin = _screen(derivative(ends))
+    return bool(np.all(moduli[:, 0] - tail > CONFORMAL_MIN_DERIV + 2 * margin))
 
 
 def _ring_estimate(d: np.ndarray, powers: np.ndarray) -> np.ndarray:

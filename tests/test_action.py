@@ -237,6 +237,17 @@ def test_path_validation_and_properties():
     assert np.allclose(path.times, np.linspace(0, 1, 11))
 
 
+def test_path_rejects_an_empty_degree_bound():
+    """A path of maps with no coefficient is rejected by name, not by a numpy
+    error in the first consumer; degree bound 1, the constant maps, works."""
+    with pytest.raises(ValueError, match="degree bound"):
+        DiscretePath(np.ones((3, 0)))
+    path = DiscretePath(np.ones((3, 1)))
+    assert discrete_action(path, 0.1) == discrete_action(path, 0.1, mode="fft") == 0.0
+    action, grad = action_and_gradient(path, 0.1)
+    assert action == 0.0 and np.array_equal(grad, np.zeros((1, 1)))
+
+
 def test_alpha_validation():
     path = DiscretePath(np.zeros((3, 2)))
     # a bool, a string, None and an int too large for a float are not a weight
@@ -259,11 +270,18 @@ def test_returned_gradient_survives_the_next_call():
     assert action_and_gradient(first, 0.3)[0] == action
 
 
+# (N, n) each thread cycles: with two threads, more (thread, shape) keys than
+# the kernel keeps workspaces for
+THREAD_SHAPES = [(20, 16), (10, 8), (6, 24)]
+
+
 def test_concurrent_threads_keep_their_own_workspace():
-    """Two threads evaluating paths of one shape at the same time get the
-    bits that the same calls give one after another."""
+    """Two threads evaluating paths of three shapes each at the same time,
+    which evicts one thread's workspaces while the other's are in use, get
+    the bits that the same calls give one after another."""
     rng = np.random.default_rng(67)
-    paths = [[random_path(rng, 20, 16) for _ in range(200)] for _ in range(2)]
+    paths = [[random_path(rng, *THREAD_SHAPES[k % len(THREAD_SHAPES)]) for k in range(200)]
+             for _ in range(2)]
     expected = [[action_and_gradient(path, 0.3) for path in batch] for batch in paths]
     results = [None, None]
     start = threading.Barrier(2, timeout=60)

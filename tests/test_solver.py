@@ -51,6 +51,15 @@ def test_project_examples():
     assert np.allclose(project_by_truncation(degree7, 16)[:8], degree7)
 
 
+def test_identity_needs_a_linear_coefficient():
+    """Degree bound 1 holds no ``z``: the identity and a start path from a
+    constant target are rejected by name, not by an IndexError."""
+    with pytest.raises(ValueError, match="degree bound"):
+        identity_map(1)
+    with pytest.raises(ValueError, match="degree bound"):
+        initial_guess([5.0], 4)
+
+
 def test_initial_guess_examples():
     path = initial_guess(identity_map(4), 5)
     assert np.allclose(path.steps, np.tile(identity_map(4), (6, 1)))
@@ -110,17 +119,23 @@ def test_certificate_matches_full_grid_horner_on_random_paths():
     assert checks.certificate(np.random.default_rng(37), 300) == 0
 
 
-@pytest.mark.parametrize("name, size",
-                         [pytest.param(p.stem, None, id=p.stem) for p in SHIPPED_CONFIGS]
-                         + [pytest.param("example5a", (40, 64), id="example5a-40-64"),
-                            pytest.param("example5c", (20, 128), id="example5c-20-128")])
-def test_certificate_matches_full_grid_horner_on_solved_paths(name, size):
+@pytest.mark.parametrize(
+    "name, size, analogue",
+    [pytest.param(p.stem, None, False, id=p.stem) for p in SHIPPED_CONFIGS]
+    + [pytest.param("example5a", (40, 64), False, id="example5a-40-64"),
+       pytest.param("example5c", (20, 128), False, id="example5c-20-128"),
+       pytest.param("example5a", (40, 64), True, id="example5a-40-64-analogue"),
+       pytest.param("example5c", (20, 128), True, id="example5c-20-128-analogue")])
+def test_certificate_matches_full_grid_horner_on_solved_paths(name, size, analogue):
     """Every shipped config's solved path and endpoint pair, at its own
-    (N, n) and at the benchmark's larger ones."""
+    (N, n) and at the benchmark's larger ones, and there also the conformal
+    analogues that the benchmark's nonzero seeds solve, on whose paths the
+    coefficient bound skips every inner ring and decides the endpoint gate."""
     config = load_config(SHIPPED_CONFIGS[0].parent / f"{name}.json")
     num_steps, degree_bound = size or (config.num_steps, config.degree_bound)
+    target = conformal_analogue(config.target) if analogue else config.target
     result = solve(SolverConfig(n=degree_bound, num_steps=num_steps, alpha=config.alpha),
-                   config.target)
+                   target)
     steps = result.path.steps
     assert np.array_equal(result.conformal_certificate, full_grid_minima(steps))
     pair = steps[[0, -1]]
