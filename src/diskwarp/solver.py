@@ -11,9 +11,9 @@ is one call of the batched kernel :func:`~diskwarp.action.action_and_gradient`
 for action and gradient together.  Endpoints are never touched, so a target
 that fails certification fails before any iteration.  Optimization happens in
 the ambient coefficient space; membership in the conformal maps is certified
-afterwards by sampling the derivative modulus on a polar grid, whose inner
-rings, and the endpoints' samples, a coefficient bound spares where it
-decides the outcome.
+afterwards by sampling the derivative modulus on a polar grid, one batched
+ring FFT, and at the endpoints first by a coefficient bound where it decides
+the outcome.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .action import DiscretePath, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
 from .poly import (_FLOAT_MAX, _is_integer, _is_number, as_coeffs, check_alpha, derivative,
-                   evaluate, monomial_weights)
+                   monomial_weights)
 
 __all__ = [
     "SolverConfig",
@@ -127,98 +127,53 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
     modulus of a holomorphic derivative can sit strictly inside the disk,
     hence the interior rings.  Sampling is a certification heuristic, not a
     proof; ``evaluate(derivative(path.steps), z)`` samples a denser grid z.
-
-    The values are those of Horner's rule on the whole grid, bit for bit,
-    but Horner runs only at the points where a step's minimum can be.  On the
-    ring of radius r, ``phi'(r w**m) = sum_j d_j r**j w**(j m)`` with ``w =
-    exp(2 pi i / M)`` and M = 64 is one inverse FFT of the ring-scaled
-    coefficients ``d_j r**j`` for the path's n, folded mod M when n exceeds M.
-    This estimate E and the Horner values H differ by less than half the
-    margin ``(n + M) 2**-40 sum_j |d_j|``: complex Horner at ``|z| <= 1`` errs
-    by about ``4 n u sum_j |d_j|`` at most (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 5.1), and the FFT by a small multiple of ``(log2 M
-    + n / M) u sum_j |d_j|``, with ``u = 2**-53``; an absolute term of n + M
-    least normal doubles covers subnormal round-off.  So where H is least, E
-    is within the margin of its own least, and Horner runs on the union of
-    such candidate points over the steps.  A step whose terms past ``d_0``
-    sum to at most the margin (the identity, a linear map), or that holds a
-    NaN or an infinity, takes the whole grid.
-
-    The outer ring's FFT runs first.  An inner ring's runs only for the
-    steps whose coefficient bound ``|d_0| - sum_{j>=1} |d_j| r**j`` on that
-    ring does not clear the least outer estimate by two margins: elsewhere
-    every estimate on the ring lies more than a margin above the step's
-    least, so none of its points can be a candidate, and the candidate set
-    is that of every ring's FFT.
+    The samples are those of :func:`_samples`, one batched ring FFT, which
+    lie within half of :func:`_margin` of Horner's rule at every grid point.
+    A step that holds a NaN or an infinity gets NaN, and fails.
     """
-    d = derivative(path.steps)
+    return np.min(_samples(derivative(path.steps)), axis=1)
+
+
+def _samples(d: np.ndarray) -> np.ndarray:
+    """``|p'|`` at the points of :data:`_GRID`, in its order, for each
+    coefficient row of a derivative ``d``: (rows, 1 + 8 * _ANGLES).
+
+    The center gives ``|d_0|``.  On the ring of radius r, ``p'(r w**m) =
+    sum_j d_j r**j w**(j m)`` with ``w = exp(2 pi i / M)`` and M = 64 is one
+    inverse FFT of the ring-scaled coefficients ``d_j r**j``, folded mod M
+    when n exceeds M, and all eight rings of all rows take one FFT call.
+    """
     rows, n = d.shape
-    moduli, tail, margin = _screen(d)
-    flat = ~(tail > margin)  # NaN compares false: a NaN or an infinity is flat
-    minima = np.empty(rows)
-    if flat.any():
-        minima[flat] = np.min(np.abs(evaluate(d[flat], _GRID)), axis=-1)
-    if not flat.all():
-        d, moduli, margin = d[~flat], moduli[~flat], margin[~flat]
-        powers = _RINGS[:, None] ** np.arange(n)
-        # each ring's r**j as complex numbers, for a screen product of one dtype
-        rings = powers.astype(complex)
-        estimate = np.full((len(d), len(_RINGS), _ANGLES), np.inf)
-        estimate[:, -1] = _ring_estimate(d, rings[-1])
-        least = estimate[:, -1].min(axis=1)
-        # Each inner ring's coefficient bound |d_0| - sum_{j>=1} |d_j| r**j.
-        # No skipped ring could have overflowed to NaN: a step that is not flat
-        # has a finite |d_0| + tail, and an inner ring's FFT sums stay below
-        # |d_0| + sum_{j>=1} |d_j| r**j, short of it by tail/8 at least, far
-        # beyond round-off.
-        bound = moduli[:, :1] - moduli[:, 1:] @ powers[:-1, 1:].T
-        screened = bound > (least + 2 * margin)[:, None]
-        inner, ring = np.nonzero(~screened)
-        if len(inner):
-            estimate[inner, ring] = _ring_estimate(d[inner], rings[ring])
-        estimate = np.concatenate([moduli[:, :1], estimate.reshape(len(d), -1)], axis=1)
-        # an estimate that overflowed to NaN makes every point a candidate
-        near = ~(estimate > (estimate.min(axis=1) + margin)[:, None])
-        # Never one point: for a single row at a single point numpy's complex
-        # product runs a scalar loop without the fused multiply-add of its
-        # vector loop, and the last bit can differ from the whole grid's.
-        near[:, :2] = True
-        columns = np.flatnonzero(near.any(axis=0))
-        minima[~flat] = np.min(np.abs(evaluate(d, _GRID[columns])), axis=-1)
-    return minima
+    terms = d[:, None, :] * _RINGS[:, None] ** np.arange(n)
+    for start in range(_ANGLES, n, _ANGLES):  # w**(j m) depends on j mod M only
+        block = terms[..., start:start + _ANGLES]
+        terms[..., :block.shape[-1]] += block
+    rings = np.abs(np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward"))
+    return np.concatenate([np.abs(d[:, :1]), rings.reshape(rows, -1)], axis=1)
 
 
-def _screen(d: np.ndarray):
-    """``|d|``, ``sum_{j>=1} |d_j|`` and the margin of
-    :func:`certify_conformal` for each coefficient row of a derivative ``d``."""
-    moduli = np.abs(d)
-    tail = np.sum(moduli[:, 1:], axis=1)
-    margin = (d.shape[1] + _ANGLES) * (2.0**-40 * (moduli[:, 0] + tail) + np.finfo(float).tiny)
-    return moduli, tail, margin
+def _margin(moduli: np.ndarray) -> np.ndarray:
+    """``(n + M) (2**-40 sum_j |d_j| + tiny)`` for each row of the moduli
+    ``|d|`` of a derivative: twice a bound on the gap between :func:`_samples`
+    and Horner's rule.  Complex Horner at ``|z| <= 1`` errs by about ``4 n u
+    sum_j |d_j|`` at most (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 5.1), and the ring FFT by a small multiple of ``(log2 M + n /
+    M) u sum_j |d_j|``, with ``u = 2**-53``; n + M least normal doubles cover
+    subnormal round-off."""
+    return (moduli.shape[1] + _ANGLES) * (2.0**-40 * np.sum(moduli, axis=1)
+                                          + np.finfo(float).tiny)
 
 
 def _bound_passes(ends: np.ndarray) -> bool:
     """Whether every row of ``ends`` passes certification by the coefficient
-    bound ``|d_0| - sum_{j>=1} |d_j|`` on ``|p'|`` over the closed disk, the
-    ring screen's bound at r = 1: it clears :data:`CONFORMAL_MIN_DERIV` by
-    two margins, beyond the round-off of the sampled certificate.  This is
-    the coefficient test of Noshiro and Warschawski (Duren, *Univalent
-    Functions*, 1983), which also proves univalence."""
-    moduli, tail, margin = _screen(derivative(ends))
-    return bool(np.all(moduli[:, 0] - tail > CONFORMAL_MIN_DERIV + 2 * margin))
-
-
-def _ring_estimate(d: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """``|p'|`` at the :data:`_ANGLES` points of a ring of :data:`_GRID`, for
-    each coefficient row of ``d``, from one inverse FFT per row: (rows,
-    _ANGLES).  ``powers`` holds the ring's ``r**j`` for ``j < n``, one row for
-    all rows of ``d`` or one ring per row."""
-    terms = d * powers
-    n = terms.shape[-1]
-    for start in range(_ANGLES, n, _ANGLES):  # w**(j m) depends on j mod M only
-        block = terms[..., start:start + _ANGLES]
-        terms[..., :block.shape[-1]] += block
-    return np.abs(np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward"))
+    bound ``|d_0| - sum_{j>=1} |d_j|`` on ``|p'|`` over the closed disk: it
+    clears :data:`CONFORMAL_MIN_DERIV` by two margins of :func:`_margin`,
+    beyond the round-off of the sampled certificate.  This is the coefficient
+    test of Noshiro and Warschawski (Duren, *Univalent Functions*, 1983),
+    which also proves univalence."""
+    moduli = np.abs(derivative(ends))
+    return bool(np.all(moduli[:, 0] - np.sum(moduli[:, 1:], axis=1)
+                       > CONFORMAL_MIN_DERIV + 2 * _margin(moduli)))
 
 
 def solve(config: SolverConfig, target) -> GeodesicResult:
@@ -233,7 +188,8 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     carry the offending result on their ``result`` attribute.  The endpoints
     pass without sampling where the coefficient bound ``|c_1| - sum_{j>=2}
     j|c_j|`` on ``|phi'|`` clears CONFORMAL_MIN_DERIV by two margins of
-    :func:`certify_conformal`, and are sampled as every step is otherwise.
+    :func:`_margin`, and are sampled as every step is otherwise, to the same
+    bits as in the final certificate.
     """
     path = initial_guess(project_by_truncation(target, config.n), config.num_steps)
     # the optimizer's variables are the interior rows, real and imaginary

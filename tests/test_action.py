@@ -78,6 +78,11 @@ def test_discrete_lagrangian_rejects_bad_step():
         discrete_lagrangian(z, z, 0.0, 1.0)
     with pytest.raises(ValueError):
         discrete_lagrangian(z, z, -0.1, 1.0)
+    # not finite, not a number, or a bool
+    for h in (np.nan, np.inf, 10**400, True, "0.1", None):
+        with pytest.raises(ValueError, match="step size"):
+            discrete_lagrangian(z, z, h, 1.0)
+    assert discrete_lagrangian(z, z, np.float64(0.1), 1.0) == 0
     with pytest.raises(ValueError, match="share a degree bound"):
         discrete_lagrangian(z, np.array([0, 1, 0.5]), 0.1, 1.0)
 
