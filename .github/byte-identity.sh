@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Usage: .github/byte-identity.sh BASE_TREE HEAD_TREE OUT_DIR
+# Usage: .github/byte-identity.sh BASE_TREE HEAD_TREE OUT_DIR [BASE_COMMIT]
 #
 # Runs each tree's code on that tree's configs into OUT_DIR/base and
 # OUT_DIR/head, then diffs the two: every shipped config's solve outputs, as
@@ -9,7 +9,12 @@
 # and as CSV, and example5a's sweep over alpha = 0.1 and 10, one
 # subdirectory each.
 # Lists the differing files, sorted, and their count, then prints the full
-# diff. Exits 0 when they are byte-identical and 1 when any file differs.
+# diff. Exits 0 when the differing files, and for each differing report.txt
+# the fields that differ, are exactly those that HEAD_TREE's
+# .github/expected-diff.txt declares, and 1 otherwise. The manifest applies
+# only when its parent line names BASE_COMMIT, the full id of BASE_TREE's
+# commit; otherwise, or without BASE_COMMIT, it counts as empty and any
+# differing file fails.
 set -eo pipefail
 
 outputs() {  # outputs TREE DEST: run TREE's code on TREE's configs into DEST
@@ -53,9 +58,54 @@ json.dump(c, open(sys.argv[3], "w"))' "$1/configs/$name.json" "$large" "$analogu
 mkdir -p "$3"
 outputs "$1" "$3/base"
 outputs "$2" "$3/head"
-differing=$(diff -rq "$3/base" "$3/head" | sort) || true  # the full diff below sets the status
+differing=$(diff -rq "$3/base" "$3/head" | sort) || true
 if [ -n "$differing" ]; then
   printf '%s\n' "$differing"
 fi
 echo "$(printf '%s' "$differing" | grep -c '') differing file(s)"
-diff -r "$3/base" "$3/head"
+diff -r "$3/base" "$3/head" || true  # the manifest check below sets the status
+python - "$2/.github/expected-diff.txt" "$3/base" "$3/head" "${4:-}" <<'PY'
+import sys
+from pathlib import Path
+
+manifest, base, head, commit = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
+
+
+def fields(path):  # a report.txt's "key: value" lines
+    return dict(line.split(": ", 1) for line in path.read_text(encoding="utf-8").splitlines())
+
+
+found = {}  # each differing path -> the fields that differ, for a report.txt in both trees
+for name in sorted({p.relative_to(root).as_posix()
+                    for root in (base, head) for p in root.rglob("*") if p.is_file()}):
+    old, new = base / name, head / name
+    both = old.is_file() and new.is_file()
+    if both and old.read_bytes() == new.read_bytes():
+        continue
+    keys = set()
+    if both and name.endswith("report.txt"):
+        a, b = fields(old), fields(new)
+        keys = {key for key in a.keys() | b.keys() if a.get(key) != b.get(key)}
+    found[name] = keys
+
+# "parent COMMIT", then one "PATH [FIELD ...]" line per expected difference
+lines = [line.split() for line in manifest.read_text(encoding="utf-8").splitlines()
+         if line.strip() and not line.startswith("#")] if manifest.is_file() else []
+parent = lines[0][1] if lines and lines[0][0] == "parent" else None
+expected = {}
+if commit and parent == commit:
+    expected = {words[0]: set(words[1:]) for words in lines[1:]}
+elif lines:
+    print(f"{manifest.name} is for parent {parent}, not {commit or 'an unnamed base'}: "
+          "it counts as empty")
+
+faults = [f"unexpected: {name} {' '.join(sorted(keys))}".rstrip()
+          for name, keys in found.items() if name not in expected]
+faults += [f"missing: {name}" for name in expected if name not in found]
+faults += [f"fields: {name} differs in {sorted(found[name])}, declared {sorted(expected[name])}"
+           for name in expected if name in found and found[name] != expected[name]]
+for fault in faults:
+    print(fault)
+print(f"{len(found)} differing, {len(expected)} declared: {'MISMATCH' if faults else 'as declared'}")
+sys.exit(1 if faults else 0)
+PY

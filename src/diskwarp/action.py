@@ -26,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import (_FLOAT_MAX, _is_number, check_alpha, derivative, inner_l2, monomial_weights,
-                   mul_naive)
+from .poly import _real, check_alpha, derivative, inner_l2, monomial_weights, mul_naive
 
 __all__ = [
     "DiscretePath",
@@ -83,9 +82,7 @@ def lagrangian(phi, phidot, alpha: float) -> float:
 def discrete_lagrangian(phi_k, phi_k1, h: float, alpha: float) -> float:
     """Midpoint-rule energy of one interval, ``h L(m, (v-u)/h) = L(m, v-u) / h``
     with ``m = (u+v)/2``; symmetric in its two endpoints."""
-    # NaN fails both comparisons; an int too large for a float fails the second
-    if not (_is_number(h) and 0 < h <= _FLOAT_MAX):
-        raise ValueError(f"step size must be a positive finite number, got {h!r}")
+    h = _real(h, "step size", "positive")
     u = np.asarray(phi_k, dtype=complex)
     v = np.asarray(phi_k1, dtype=complex)
     if u.shape != v.shape:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError
-from .poly import _is_integer, _is_number, check_alpha
+from .poly import _count, _is_number, check_alpha
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -54,11 +54,12 @@ class ExperimentConfig:
             )
         try:
             object.__setattr__(self, "alpha", check_alpha(self.alpha))
+            for key, value, least in (("N", self.num_steps, 2), ("n", self.degree_bound, 2),
+                                      ("circles", self.mesh_circles, 1),
+                                      ("rays", self.mesh_rays, 1)):
+                _count(value, key, least)
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from exc
-        for key, value in (("N", self.num_steps), ("n", self.degree_bound)):
-            if not (_is_integer(value) and value >= 2):
-                raise ConfigValidationError(f"{key} must be an integer >= 2, got {value!r}")
         scalar = isinstance(self.target, (str, bytes)) or not np.iterable(self.target)
         target = np.array([_coefficient(i, value) for i, value in
                            enumerate([self.target] if scalar else self.target)], dtype=complex)
@@ -73,12 +74,6 @@ class ExperimentConfig:
         if self.frame_format not in ("csv", "svg"):
             raise ConfigValidationError(
                 f"format must be 'csv' or 'svg', got {self.frame_format!r}"
-            )
-        counts = (self.mesh_circles, self.mesh_rays)
-        if not all(_is_integer(v) and v >= 1 for v in counts):
-            raise ConfigValidationError(
-                f"mesh counts must be positive integers, got circles={self.mesh_circles} "
-                f"rays={self.mesh_rays}"
             )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import DiscretePath
-from .poly import _is_integer, evaluate
+from .poly import _count, evaluate
 
 __all__ = ["disk_mesh", "warp_frames", "write_frames_csv", "write_frames_svg"]
 
@@ -43,8 +43,7 @@ def disk_mesh(circles: int, rays: int):
     Returns a list of ``(line_id, points)`` pairs with 128 complex sample
     points each; circles are closed (first point repeated at the end).
     """
-    if not (_is_integer(circles) and _is_integer(rays) and circles >= 1 and rays >= 1):
-        raise ValueError(f"mesh needs integers circles, rays >= 1, got ({circles}, {rays})")
+    circles, rays = _count(circles, "circles", 1), _count(rays, "rays", 1)
     lines = []
     theta = np.linspace(0.0, 2.0 * np.pi, 128)
     for j in range(1, circles + 1):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchFailureError, SingularInertiaError
-from .poly import _FLOAT_MAX, _is_integer, _is_number, check_alpha
+from .poly import _count, _real, check_alpha
 
 __all__ = [
     "LinearState",
@@ -112,11 +112,7 @@ def integrate_reduced(state: LinearState, alpha: float, duration: float, steps: 
     raises ValueError for a state or a duration that is not finite.
     """
     alpha = check_alpha(alpha)
-    if not (_is_number(duration) and abs(duration) <= _FLOAT_MAX):
-        raise ValueError(f"duration must be a finite real number, got {duration!r}")
-    if not (_is_integer(steps) and steps >= 1):
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    h = duration / steps
+    h = _real(duration, "duration", "real") / _count(steps, "steps", 1)
     c, a = _finite(state)
     out = np.empty((steps + 1, 2), dtype=complex)
     out[0] = (c, a)

@@ -14,6 +14,7 @@ polynomials are never truncated: inner products of products are exact.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +29,7 @@ __all__ = [
     "evaluate",
 ]
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def as_coeffs(values, n: int | None = None) -> np.ndarray:
+def as_coeffs(values, n: int) -> np.ndarray:
     """Return a complex coefficient array, zero-padded to degree bound ``n``.
 
     Raises ValueError if ``values`` has more than ``n`` coefficients.
@@ -39,8 +37,6 @@ def as_coeffs(values, n: int | None = None) -> np.ndarray:
     c = np.atleast_1d(np.asarray(values, dtype=complex))
     if c.ndim != 1:
         raise ValueError(f"coefficients must be one-dimensional, got shape {c.shape}")
-    if n is None:
-        return c.copy()
     if len(c) > n:
         raise ValueError(f"{len(c)} coefficients exceed degree bound {n}")
     return np.pad(c, (0, n - len(c)))
@@ -88,18 +84,36 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _is_integer(value) -> bool:
-    # nor is True a count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# the least finite float of each sign a real argument may have
+_LEAST = {"real": math.nextafter(-math.inf, 0.0), "nonnegative": 0.0,
+          "positive": math.nextafter(0.0, 1.0)}
+
+
+def _real(value, name: str, sign: str) -> float:
+    """``value`` widened to a float; ValueError unless it is a finite real
+    number of ``sign`` ("real", "nonnegative" or "positive").  Python's and
+    numpy's ints and floats of any width are numbers, a bool is not."""
+    try:
+        x = float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if not _LEAST[sign] <= x < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
+    return x
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is a Python or numpy integer
+    (a bool is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def check_alpha(alpha: float) -> float:
-    """The metric weight ``alpha`` as a float; ValueError unless it is a
-    finite nonnegative real number (a bool is not)."""
-    # NaN fails both comparisons; an int too large for a float fails the second
-    if not (_is_number(alpha) and 0 <= alpha <= _FLOAT_MAX):
-        raise ValueError(f"alpha must be a finite nonnegative number, got {alpha!r}")
-    return float(alpha)
+    """The metric weight ``alpha`` widened to a float; ValueError unless it
+    is a finite nonnegative real number."""
+    return _real(alpha, "alpha", "nonnegative")
 
 
 def inner_h1(p, q, alpha: float) -> complex:

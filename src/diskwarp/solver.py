@@ -25,8 +25,7 @@ import numpy as np
 
 from .action import DiscretePath, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
-from .poly import (_FLOAT_MAX, _is_integer, _is_number, as_coeffs, check_alpha, derivative,
-                   monomial_weights)
+from .poly import _count, _real, as_coeffs, check_alpha, derivative, monomial_weights
 
 __all__ = [
     "SolverConfig",
@@ -64,16 +63,12 @@ class SolverConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not (_is_integer(self.n) and self.n >= 2):
-            raise ValueError(f"degree bound n must be an integer >= 2, got {self.n!r}")
-        if not (_is_integer(self.num_steps) and self.num_steps >= 2):
-            raise ValueError(f"num_steps must be an integer >= 2, got {self.num_steps!r}")
-        check_alpha(self.alpha)
-        # NaN fails both comparisons; an int too large for a float fails the second
-        if not (_is_number(self.grad_tol) and 0 < self.grad_tol <= _FLOAT_MAX):
-            raise ValueError(f"grad_tol must be a positive finite number, got {self.grad_tol!r}")
-        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        _count(self.n, "degree bound n", 2)
+        _count(self.num_steps, "num_steps", 2)
+        # stored widened, so that no comparison in a solve casts a float bound
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        object.__setattr__(self, "grad_tol", _real(self.grad_tol, "grad_tol", "positive"))
+        _count(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -98,9 +93,7 @@ class GeodesicResult:
 
 def identity_map(n: int) -> np.ndarray:
     """Coefficients of ``phi(z) = z`` at degree bound n >= 2."""
-    if n < 2:
-        raise ValueError(f"the identity needs degree bound n >= 2, got {n!r}")
-    c = np.zeros(n, dtype=complex)
+    c = np.zeros(_count(n, "the identity's degree bound n", 2), dtype=complex)
     c[1] = 1.0
     return c
 

@@ -78,11 +78,6 @@ def test_discrete_lagrangian_rejects_bad_step():
         discrete_lagrangian(z, z, 0.0, 1.0)
     with pytest.raises(ValueError):
         discrete_lagrangian(z, z, -0.1, 1.0)
-    # not finite, not a number, or a bool
-    for h in (np.nan, np.inf, 10**400, True, "0.1", None):
-        with pytest.raises(ValueError, match="step size"):
-            discrete_lagrangian(z, z, h, 1.0)
-    assert discrete_lagrangian(z, z, np.float64(0.1), 1.0) == 0
     with pytest.raises(ValueError, match="share a degree bound"):
         discrete_lagrangian(z, np.array([0, 1, 0.5]), 0.1, 1.0)
 
@@ -251,16 +246,6 @@ def test_path_rejects_an_empty_degree_bound():
     assert discrete_action(path, 0.1) == discrete_action(path, 0.1, mode="fft") == 0.0
     action, grad = action_and_gradient(path, 0.1)
     assert action == 0.0 and np.array_equal(grad, np.zeros((1, 1)))
-
-
-def test_alpha_validation():
-    path = DiscretePath(np.zeros((3, 2)))
-    # a bool, a string, None and an int too large for a float are not a weight
-    for bad in (-0.5, float("nan"), float("inf"), "0.1", None, 10**400, True):
-        with pytest.raises(ValueError):
-            discrete_action(path, bad)
-    with pytest.raises(ValueError):
-        lagrangian([0, 1], [0, 1], -2.0)
 
 
 def test_returned_gradient_survives_the_next_call():

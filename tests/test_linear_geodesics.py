@@ -62,6 +62,14 @@ def test_integrate_reduced_rejects_bad_steps(state, duration, steps):
         integrate_reduced(state, 0.1, duration, steps)
 
 
+def test_narrow_duration_steps_as_its_float():
+    """A float32 duration is widened before the step is formed, so the
+    trajectory is the float64 one bit for bit."""
+    state = LinearState(1.0, 0.5)
+    narrow = integrate_reduced(state, 0.1, np.float32(0.1), 20)
+    assert narrow.tobytes() == integrate_reduced(state, 0.1, float(np.float32(0.1)), 20).tobytes()
+
+
 @pytest.mark.parametrize("state", NON_FINITE_STATES,
                          ids=["coeff-nan", "vel-inf", "coeff-imag-nan", "vel-imag-inf"])
 def test_reduced_rhs_rejects_non_finite_state(state):
