@@ -18,8 +18,10 @@ the outcome.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,15 +82,24 @@ class GeodesicResult:
     steps that leave it unchanged within round-off).  ``conformal_certificate``
     holds min |phi_k'| over the sample grid for every step; all entries must
     exceed :data:`CONFORMAL_MIN_DERIV` for the path to count as conformal.
+    ``evaluations`` counts the calls of the kernel, the start's included.
+    ``termination`` names the optimizer's exit: ``"converged"``,
+    ``"budget"`` or ``"line search"``, or ``"start"`` for a result attached
+    to a failure before the first iteration; ``converged`` is read from it.
     """
 
     path: DiscretePath
     action: float
     grad_norm: float
     iterations: int
-    converged: bool
     conformal_certificate: np.ndarray
     action_history: np.ndarray = field(repr=False)
+    evaluations: int
+    termination: str
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
 
 def identity_map(n: int) -> np.ndarray:
@@ -122,9 +133,33 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
     proof; ``evaluate(derivative(path.steps), z)`` samples a denser grid z.
     The samples are those of :func:`_samples`, one batched ring FFT, which
     lie within half of :func:`_margin` of Horner's rule at every grid point.
-    A step that holds a NaN or an infinity gets NaN, and fails.
+    A step that holds a NaN or an infinity gets NaN, and fails.  The
+    samples live in a workspace of :func:`_samples`; the certificate
+    returned is a fresh array.
     """
     return np.min(_samples(derivative(path.steps)), axis=1)
+
+
+class _RingWorkspace:
+    """Every array of :func:`_samples` for derivatives of shape (rows, n):
+    the ring powers ``r**j``, the ring-scaled terms, the inverse FFT of the
+    folded terms and the samples, whose columns after the center's are
+    ``moduli``, the FFT's moduli in place."""
+
+    def __init__(self, rows: int, n: int):
+        self.powers = _RINGS[:, None] ** np.arange(n)
+        self.terms = np.empty((rows, len(_RINGS), n), complex)
+        self.inverse = np.empty((rows, len(_RINGS), _ANGLES), complex)
+        self.samples = np.empty((rows, 1 + len(_RINGS) * _ANGLES))
+        self.moduli = self.samples[:, 1:].reshape(self.inverse.shape)
+
+
+@lru_cache(maxsize=4)
+def _ring_workspace(thread: int, rows: int, n: int) -> _RingWorkspace:
+    """The workspace of :func:`_samples` for derivatives of shape (rows, n)
+    in the thread of that identifier; the last four keys are kept, as for
+    the kernel's :func:`~diskwarp.action._workspace`."""
+    return _RingWorkspace(rows, n)
 
 
 def _samples(d: np.ndarray) -> np.ndarray:
@@ -135,14 +170,22 @@ def _samples(d: np.ndarray) -> np.ndarray:
     sum_j d_j r**j w**(j m)`` with ``w = exp(2 pi i / M)`` and M = 64 is one
     inverse FFT of the ring-scaled coefficients ``d_j r**j``, folded mod M
     when n exceeds M, and all eight rings of all rows take one FFT call.
+
+    Every array, the returned samples included, belongs to a workspace per
+    thread and shape of ``d``, so the next call at that shape overwrites
+    them: a caller that keeps the samples must copy them.  The values are
+    those of the same operations on fresh arrays, bit for bit.
     """
     rows, n = d.shape
-    terms = d[:, None, :] * _RINGS[:, None] ** np.arange(n)
+    w = _ring_workspace(threading.get_ident(), rows, n)
+    terms = np.multiply(d[:, None, :], w.powers, out=w.terms)
     for start in range(_ANGLES, n, _ANGLES):  # w**(j m) depends on j mod M only
         block = terms[..., start:start + _ANGLES]
         terms[..., :block.shape[-1]] += block
-    rings = np.abs(np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward"))
-    return np.concatenate([np.abs(d[:, :1]), rings.reshape(rows, -1)], axis=1)
+    np.fft.ifft(terms[..., :_ANGLES], _ANGLES, norm="forward", out=w.inverse)
+    np.abs(d[:, 0], out=w.samples[:, 0])
+    np.abs(w.inverse, out=w.moduli)
+    return w.samples
 
 
 def _margin(moduli: np.ndarray) -> np.ndarray:
@@ -188,8 +231,11 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     # the optimizer's variables are the interior rows, real and imaginary
     # parts interleaved: x.view(complex) is their row-major order
     interior = path.steps[1:-1]
+    evaluations = 0
 
     def fun_grad(x: np.ndarray):
+        nonlocal evaluations
+        evaluations += 1
         interior[...] = x.view(complex).reshape(interior.shape)
         f, g = action_and_gradient(path, config.alpha)
         return f, g.ravel().view(float)
@@ -201,7 +247,7 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
         ends = path.steps[[0, -1]]
         if not (_bound_passes(ends)
                 or np.all(certify_conformal(DiscretePath(ends)) > CONFORMAL_MIN_DERIV)):
-            _certified(_result(path, f, gnorm, 0, False, [f]))
+            _certified(_result(path, f, gnorm, 0, evaluations, "start", [f]))
         inv_hess = _inverse_hessian_along(path.steps, config.alpha)
         # the initial inverse Hessian's image of g, the first direction up to sign
         pnorm = float(np.max(np.abs(inv_hess(g))))
@@ -209,9 +255,9 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
             raise NoConvergenceError(
                 f"start not finite: action {f!r}, gradient sup-norm {gnorm!r}, "
                 f"preconditioned gradient sup-norm {pnorm!r}",
-                result=_result(path, f, gnorm, 0, False, [f]))
+                result=_result(path, f, gnorm, 0, evaluations, "start", [f]))
 
-    x, f, gnorm, iters, history, converged = _lbfgs(
+    x, f, gnorm, iters, history, termination = _lbfgs(
         fun_grad, x, f, g,
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
@@ -220,8 +266,8 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     # the last evaluation may have been a rejected trial step
     interior[...] = x.view(complex).reshape(interior.shape)
 
-    result = _result(path, f, gnorm, iters, converged, history)
-    if not converged:
+    result = _result(path, f, gnorm, iters, evaluations, termination, history)
+    if not result.converged:
         raise NoConvergenceError(
             f"gradient sup-norm {gnorm:.3e} above {config.grad_tol:.1e} "
             f"after {iters} iterations",
@@ -230,10 +276,11 @@ def solve(config: SolverConfig, target) -> GeodesicResult:
     return _certified(result)
 
 
-def _result(path, f, gnorm, iters, converged, history) -> GeodesicResult:
+def _result(path, f, gnorm, iters, evaluations, termination, history) -> GeodesicResult:
     return GeodesicResult(path=path, action=f, grad_norm=gnorm, iterations=iters,
-                          converged=converged, conformal_certificate=certify_conformal(path),
-                          action_history=np.asarray(history))
+                          conformal_certificate=certify_conformal(path),
+                          action_history=np.asarray(history),
+                          evaluations=evaluations, termination=termination)
 
 
 def _certified(result: GeodesicResult) -> GeodesicResult:
@@ -286,12 +333,25 @@ def _inverse_hessian_along(steps: np.ndarray, alpha: float):
     return apply
 
 
+@lru_cache(maxsize=4)
+def _pair_rows(thread: int, size: int) -> np.ndarray:
+    """The rows that :func:`_lbfgs` stores its curvature pairs in, for
+    variables of that size in the thread of that identifier: (_MEMORY + 1,
+    2, size), one row per pair ``(s, y)``, and one more that no kept pair
+    holds.  The last four keys are kept."""
+    return np.empty((_MEMORY + 1, 2, size))
+
+
 def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     """Limited-memory BFGS with a backtracking line search from x, at which
     the caller evaluated f and g; ``_MEMORY`` pairs, steps cut by ``_BACKTRACK``.
 
     Returns (x, f, grad_sup_norm, iterations, accepted_action_history,
-    converged); the history lists f at the start and at every accepted iterate.
+    termination); the history lists f at the start and at every accepted
+    iterate, and the termination is ``"converged"``, ``"budget"`` or ``"line
+    search"``.  The pairs live in :func:`_pair_rows`, a workspace per thread
+    and size of x that persists across solves (see :func:`_keep_step`); the
+    x returned is a fresh array.
     ``inv_hess`` maps a gradient to its image under ``H0``, the initial
     inverse Hessian of the two-loop recursion (scaled there by ``s.y / y.H0 y``
     of the latest pair): ``solve`` passes the inverse of the metric along its
@@ -314,6 +374,7 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     """
     history = [f]
     pairs = deque(maxlen=_MEMORY)  # curvature pairs (s, y, 1 / s.y), oldest first
+    rows, slot = _pair_rows(threading.get_ident(), x.size), 0
     gnorm = float(np.max(np.abs(g)))
     iters = 0
 
@@ -337,13 +398,27 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
         else:
             break
 
-        _keep_pair(pairs, x_new - x, g_new - g)
+        slot = _keep_step(pairs, rows, slot, x_new, x, g_new, g)
         x, f, g = x_new, f_new, g_new
         history.append(f)
         gnorm = float(np.max(np.abs(g)))
         iters += 1
 
-    return x, f, gnorm, iters, history, gnorm <= grad_tol
+    # a NaN norm counts as a line search's exit: the next would have no trials
+    termination = ("converged" if gnorm <= grad_tol
+                   else "budget" if iters == max_iters else "line search")
+    return x, f, gnorm, iters, history, termination
+
+
+def _keep_step(pairs, rows, slot, x_new, x, g_new, g):
+    """:func:`_keep_pair` of the step's pair ``(x_new - x, g_new - g)``,
+    written into row ``slot`` of ``rows``, which no kept pair holds; returns
+    the row for the next pair, the one after ``slot`` if this pair was kept.
+    The kept pairs hold the rows before ``slot``, cyclically, so a pair
+    rejected while ``_MEMORY`` pairs are kept leaves the oldest intact."""
+    s, y = rows[slot]
+    _keep_pair(pairs, np.subtract(x_new, x, out=s), np.subtract(g_new, g, out=y))
+    return (slot + 1) % len(rows) if pairs and pairs[-1][0] is s else slot
 
 
 def _keep_pair(pairs, s, y):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from collections import deque
 from pathlib import Path
@@ -297,7 +298,7 @@ def test_start_is_evaluated_once_and_quietly(monkeypatch, target, error):
         solve(SolverConfig(n=4, num_steps=6, alpha=0.1), target)
     result = excinfo.value.result
     assert result.iterations == 0 and not result.converged
-    assert len(calls) == 1
+    assert len(calls) == result.evaluations == 1 and result.termination == "start"
 
 
 def test_preconditioner_inverts_hessian_along_affine_paths():
@@ -333,7 +334,7 @@ def test_iteration_budget_raises_no_convergence():
         solve(SolverConfig(n=16, num_steps=20, alpha=0.1, max_iters=2), [0, 0.5])
     result = excinfo.value.result
     assert result is not None
-    assert not result.converged
+    assert not result.converged and result.termination == "budget"
     assert result.iterations == 2
     assert result.grad_norm > 1e-8
 
@@ -355,8 +356,8 @@ def test_line_search_exhausted_raises_no_convergence(monkeypatch):
         solve(SolverConfig(n=16, num_steps=20, alpha=0.1), [0, 0.5])
     assert len(calls) == 61
     result = excinfo.value.result
-    assert result.iterations == 0
-    assert not result.converged
+    assert result.iterations == 0 and result.evaluations == 61
+    assert not result.converged and result.termination == "line search"
 
 
 def test_solver_config_validation():
@@ -392,9 +393,10 @@ def test_lbfgs_reaches_grad_tol_at_about_one_evaluation_per_iteration(config_pat
         SolverConfig(n=config.degree_bound, num_steps=config.num_steps, alpha=config.alpha),
         config.target,
     )
-    assert result.converged and result.grad_norm <= 1e-8
+    assert result.converged and result.termination == "converged"
+    assert result.grad_norm <= 1e-8
     assert result.iterations <= 30
-    assert len(calls) <= result.iterations + 15
+    assert len(calls) == result.evaluations <= result.iterations + 15
 
 
 @pytest.mark.parametrize("name, num_steps, degree_bound", [("example5a", 40, 64),
@@ -472,22 +474,30 @@ def test_huge_alpha_fails_quietly(alpha):
             solve(SolverConfig(n=4, num_steps=20, alpha=alpha), [0, 1.01])
 
 
-# (N, n) of the cycle: more shapes than the kernel keeps workspaces for
+# (N, n) of the cycle: more shapes than the kernel, the certificate and the
+# L-BFGS history each keep workspaces for
 CYCLED_SHAPES = [(6, 4), (10, 8), (20, 16), (8, 24), (12, 12), (5, 33)]
 CYCLE_TARGET = [0, 0.9, 0.1, 0.05j, -0.02]
 
 
+def _result_bytes(result):
+    """Every array and number of a GeodesicResult, as bytes."""
+    return (np.float64([result.action, result.grad_norm]).tobytes()
+            + np.int64([result.iterations, result.evaluations]).tobytes()
+            + result.termination.encode() + result.path.steps.tobytes()
+            + result.conformal_certificate.tobytes() + result.action_history.tobytes())
+
+
 def _solve_digest(num_steps, n):
     result = solve(SolverConfig(n=n, num_steps=num_steps, alpha=0.1), CYCLE_TARGET)
-    data = (np.float64(result.action).tobytes() + result.path.steps.tobytes()
-            + result.conformal_certificate.tobytes())
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(_result_bytes(result)).hexdigest()
 
 
 def test_cycling_shapes_matches_a_fresh_process():
-    """Solves cycled twice over six shapes, which evicts and rebuilds the
-    kernel's workspaces, give the bits of the same solves in a new
-    interpreter."""
+    """Full solves cycled twice over six shapes, which evicts and rebuilds
+    the workspaces of the kernel, the certificate and the L-BFGS history,
+    give the bits of the same solves in a new interpreter: path,
+    certificate, history and counts."""
     script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_solver as t; "
               "print(json.dumps([t._solve_digest(*shape) for shape in t.CYCLED_SHAPES]))")
     here = Path(__file__).resolve().parent
@@ -497,6 +507,123 @@ def test_cycling_shapes_matches_a_fresh_process():
                                       capture_output=True, text=True, check=True, timeout=300).stdout)
     for _ in range(2):
         assert [_solve_digest(*shape) for shape in CYCLED_SHAPES] == fresh
+
+
+# two targets of one shape, (N, n) = (20, 16), each solved by its own thread
+THREAD_TARGETS = [CYCLE_TARGET, [0.01, 0.8j, -0.05, 0.03, 0.01j]]
+
+
+def _in_two_threads(run):
+    """``[run(0), run(1)]``, from two threads that a barrier releases
+    together and that switch as often as the interpreter can."""
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def target(i):
+        start.wait()
+        results[i] = run(i)
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_concurrent_solves_keep_their_own_workspaces():
+    """Two threads solving different targets of one shape at the same time
+    get the bits of the same solves one after another: each thread has its
+    own workspaces."""
+    config = SolverConfig(n=16, num_steps=20, alpha=0.1)
+    expected = [_result_bytes(solve(config, target)) for target in THREAD_TARGETS]
+    results = _in_two_threads(
+        lambda i: [_result_bytes(solve(config, THREAD_TARGETS[i])) for _ in range(4)])
+    assert results == [[want] * 4 for want in expected]
+
+
+def test_concurrent_certificates_keep_their_own_workspaces():
+    """Two threads certifying different paths of one shape, 200 times each,
+    get the bits of the same certificates one after another."""
+    rng = np.random.default_rng(83)
+    paths = [DiscretePath(rng.standard_normal((41, 64)) + 1j * rng.standard_normal((41, 64)))
+             for _ in range(2)]
+    expected = [certify_conformal(path).tobytes() for path in paths]
+    results = _in_two_threads(
+        lambda i: [certify_conformal(paths[i]).tobytes() for _ in range(200)])
+    assert results == [[want] * 200 for want in expected]
+
+
+def test_a_later_solve_leaves_an_earlier_result_intact():
+    """A result shares no array with the workspaces: solving another target
+    of the same shape leaves its path, certificate and history as they were."""
+    config = SolverConfig(n=16, num_steps=20, alpha=0.1)
+    first = solve(config, THREAD_TARGETS[0])
+    kept = [first.path.steps.copy(), first.conformal_certificate.copy(),
+            first.action_history.copy()]
+    second = solve(config, THREAD_TARGETS[1])
+    assert not np.array_equal(second.path.steps, kept[0])
+    for array, copy in zip([first.path.steps, first.conformal_certificate,
+                            first.action_history], kept):
+        assert array.tobytes() == copy.tobytes()
+
+
+def _reference_keep_step(pairs, rows, slot, x_new, x, g_new, g):
+    """The history as a deque of fresh arrays ``(s, y, 1 / s.y)``, with no
+    stored rows: what :func:`solver._keep_step` must reproduce."""
+    solver_module._keep_pair(pairs, x_new - x, g_new - g)
+    return slot
+
+
+def test_pair_rows_match_a_deque_of_fresh_pairs():
+    """Twenty steps through the stored rows and through the reference give
+    bit-identical pairs and two-loop directions after every step.  Steps 14
+    and 17, taken while the memory is full, have ``s.y < 0`` and are
+    rejected, two within thirteen steps: the rejected pairs' rows take the
+    next pair, and every kept pair, the oldest included, stays intact."""
+    rng = np.random.default_rng(79)
+    num_steps, n = 10, 8
+    inv_hess = solver_module._inverse_hessian_along(
+        initial_guess(rng.standard_normal(n) + 0j, num_steps).steps, 0.1)
+    size = 2 * n * (num_steps - 1)
+    rows = solver_module._pair_rows(threading.get_ident(), size)
+    pairs, reference = deque(maxlen=solver_module._MEMORY), deque(maxlen=solver_module._MEMORY)
+    slot = 0
+    x, g = rng.standard_normal(size), rng.standard_normal(size)
+    for step in range(20):
+        s, y = rng.standard_normal(size), rng.standard_normal(size)
+        y *= np.sign(np.dot(s, y)) * (-1 if step in (14, 17) else 1)
+        x_new, g_new = x + s, g + y
+        before = (len(pairs), slot)
+        slot = solver_module._keep_step(pairs, rows, slot, x_new, x, g_new, g)
+        _reference_keep_step(reference, None, None, x_new, x, g_new, g)
+        assert len(pairs) == len(reference)
+        if step in (14, 17):
+            assert before == (solver_module._MEMORY, slot)
+        for (s1, y1, rho1), (s2, y2, rho2) in zip(pairs, reference):
+            assert (s1.tobytes(), y1.tobytes(), rho1) == (s2.tobytes(), y2.tobytes(), rho2)
+        for probe in rng.standard_normal((3, size)):
+            assert (solver_module._two_loop_direction(probe, pairs, inv_hess).tobytes()
+                    == solver_module._two_loop_direction(probe, reference, inv_hess).tobytes())
+        x, g = x_new, g_new
+
+
+def test_large_solve_matches_a_run_through_the_reference_history(monkeypatch):
+    """The benchmark's seed-0 example5a solve at (N, n) = (40, 64), whose 17
+    iterations fill the memory, gives the bits of the same solve with the
+    history kept as a deque of fresh arrays."""
+    config = load_config(SHIPPED_CONFIGS[0].parent / "example5a.json")
+    settings = SolverConfig(n=64, num_steps=40, alpha=config.alpha)
+    result = solve(settings, config.target)
+    assert result.iterations > solver_module._MEMORY
+    monkeypatch.setattr(solver_module, "_keep_step", _reference_keep_step)
+    assert _result_bytes(solve(settings, config.target)) == _result_bytes(result)
 
 
 @pytest.mark.parametrize("name, num_steps, degree_bound", [("example5a", 40, 64),
