@@ -101,12 +101,6 @@ def _shifted_weights(m: int) -> np.ndarray:
     return w
 
 
-def _spectrum(x: np.ndarray) -> np.ndarray:
-    """Row spectra of an (N, n) factor, zero-padded along axis 1 to the next
-    power of two >= ``2n-1`` so that products of two factors do not wrap."""
-    return np.fft.fft(x, 1 << (2 * x.shape[1] - 2).bit_length(), axis=-1)
-
-
 def _sq_norms(x: np.ndarray) -> float:
     """``sum_k <x_k, x_k>`` over the rows of a shifted-layout array."""
     return _sq_norms_into(x, np.empty(x.shape), np.empty(x.shape[0]))
@@ -122,10 +116,10 @@ def _sq_norms_into(x: np.ndarray, sq: np.ndarray, totals: np.ndarray) -> float:
 
 class _Workspace:
     """Every intermediate array of :func:`action_and_gradient` for paths of
-    one shape (N+1, n): factors and products of length n, spectra of the FFT
-    length ``size``, and the complex multipliers, which spare the kernel's
-    products any cast.  ``factors`` stacks ``delta`` over ``mid``, so that
-    one transform each way serves both."""
+    one shape (N+1, n), kept by :func:`_scratch`: factors and products of
+    length n, spectra of the FFT length ``size``, and the complex
+    multipliers, which spare the kernel's products any cast.  ``factors``
+    stacks ``delta`` over ``mid``, so that one transform each way serves both."""
 
     def __init__(self, rows: int, n: int):
         intervals, size = rows - 1, 1 << (2 * n - 2).bit_length()
@@ -144,15 +138,17 @@ class _Workspace:
         # one with ``spectra``, the benchmark's large solves ran 2-5% slower.
         transforms = np.empty((3, intervals, size), complex)
         self.inverse, self.weighted = transforms[:2], transforms[2]
+        self.prods = self.inverse[1, :, : 2 * n - 1]
         self.grad = np.empty((intervals - 1, n), complex)
 
 
-@lru_cache(maxsize=4)
-def _workspace(thread: int, rows: int, n: int) -> _Workspace:
-    """The kernel's workspace for paths of shape (rows, n) in the thread of
-    that identifier; a solve alternates few shapes (the benchmark's large
-    workload two), and the last four keys are kept."""
-    return _Workspace(rows, n)
+@lru_cache(maxsize=12)
+def _scratch(kind, thread: int, *shape):
+    """``kind(*shape)`` for the thread of that identifier, made once and
+    overwritten by each later call of that kind and shape there: the scratch
+    arrays of the kernel, the certificate and L-BFGS.  The last twelve keys
+    of the process are kept, all kinds and threads together."""
+    return kind(*shape)
 
 
 def discrete_action(path: DiscretePath, alpha: float, mode: str = "naive") -> float:
@@ -160,23 +156,41 @@ def discrete_action(path: DiscretePath, alpha: float, mode: str = "naive") -> fl
 
     ``mode="naive"`` multiplies each interval's midpoint derivative and
     increment by direct convolution, interval by interval: the O(N n**2)
-    reference.  ``mode="fft"`` forms all N products at once from batched
-    zero-padded FFTs, O(N n log n).  The modes agree to round-off.
+    reference.  ``mode="fft"`` is the forward pass of
+    :func:`action_and_gradient`, in its workspace from :func:`_scratch`:
+    batched zero-padded FFTs, O(N n log n).  The modes agree to round-off.
     """
     alpha = check_alpha(alpha)
     if mode not in ("naive", "fft"):
         raise ValueError(f"mode must be 'naive' or 'fft', got {mode!r}")
+    if mode == "fft":
+        return _forward(path, alpha)[0]
     steps = path.steps
     derivs = steps * np.arange(path.degree_bound)
-    if mode == "naive":
-        mids = (derivs[:-1] + derivs[1:]) / 2.0
-        prods = np.array([np.convolve(m, d) for m, d in zip(mids, steps[1:] - steps[:-1])])
-    else:
-        prods = _spectrum((derivs[:-1] + derivs[1:]) / 2.0)
-        prods *= _spectrum(steps[1:] - steps[:-1])
-        prods = np.fft.ifft(prods, axis=-1)[:, : 2 * path.degree_bound - 1]
+    mids = (derivs[:-1] + derivs[1:]) / 2.0
+    prods = np.array([np.convolve(m, d) for m, d in zip(mids, steps[1:] - steps[:-1])])
     energy = _sq_norms(prods) + alpha * _sq_norms(derivs[1:] - derivs[:-1])
     return energy / (2.0 * path.h)
+
+
+def _forward(path: DiscretePath, alpha: float) -> tuple[float, _Workspace]:
+    """The action of ``path`` at a checked ``alpha``, and the kernel's
+    workspace, which then holds ``diffs``, the factors' ``spectra`` from one
+    stacked FFT and the products ``prods`` from one inverse FFT."""
+    steps = path.steps
+    w = _scratch(_Workspace, threading.get_ident(), *steps.shape)
+    derivs = np.multiply(steps, w.j, out=w.derivs)
+    np.subtract(derivs[1:], derivs[:-1], out=w.diffs)
+    delta, mid = w.factors
+    np.subtract(steps[1:], steps[:-1], out=delta)
+    np.add(derivs[:-1], derivs[1:], out=mid)
+    mid /= 2.0
+    spectra = np.fft.fft(w.factors, w.spectra.shape[-1], axis=-1, out=w.spectra)
+    np.fft.ifft(np.multiply(spectra[0], spectra[1], out=w.inverse[0]), axis=-1,
+                out=w.inverse[1])
+    action = (_sq_norms_into(w.prods, w.sq_prods, w.totals)
+              + alpha * _sq_norms_into(w.diffs, w.sq_diffs, w.totals)) / (2.0 * path.h)
+    return action, w
 
 
 def action_and_gradient(path: DiscretePath, alpha: float) -> tuple[float, np.ndarray]:
@@ -188,32 +202,21 @@ def action_and_gradient(path: DiscretePath, alpha: float) -> tuple[float, np.nda
     z**(j-1) delta_k> + <prod_k, z**j m_k'> + alpha pi j delta_k[j]) / h``;
     for its start step the last two terms change sign.
 
-    One stacked FFT transforms both factors, ``delta_k`` and ``m_k'``, and
-    one stacked inverse FFT gives both correlations: four FFT calls in all.
-    Every intermediate array, the FFTs' included, is written into a
-    workspace per thread and path shape, of which the last four are kept, so
-    a call allocates only the gradient it returns.  The values are those of
-    the same operations on fresh arrays, bit for bit.
+    :func:`_forward` gives the action and the products; one stacked inverse
+    FFT then gives both correlations: four FFT calls in all.  Every
+    intermediate array, the FFTs' included, is written into a workspace per
+    thread and path shape from :func:`_scratch`, so a call allocates only
+    the gradient it returns.  The values are those of the same operations on
+    fresh arrays, bit for bit.
     """
     alpha = check_alpha(alpha)
     if path.num_intervals < 2:
         raise ValueError("gradient needs at least one interior step (N >= 2)")
-    steps, n, h = path.steps, path.degree_bound, path.h
-    w = _workspace(threading.get_ident(), *steps.shape)
-    size = w.spectra.shape[-1]
-    derivs = np.multiply(steps, w.j, out=w.derivs)
-    diffs = np.subtract(derivs[1:], derivs[:-1], out=w.diffs)
-    delta, mid = w.factors
-    np.subtract(steps[1:], steps[:-1], out=delta)
-    np.add(derivs[:-1], derivs[1:], out=mid)
-    mid /= 2.0
-    spectra = np.fft.fft(w.factors, size, axis=-1, out=w.spectra)
-    product = np.multiply(spectra[0], spectra[1], out=w.inverse[0])
-    prods = np.fft.ifft(product, axis=-1, out=w.inverse[1])[:, : 2 * n - 1]
-    action = (_sq_norms_into(prods, w.sq_prods, w.totals)
-              + alpha * _sq_norms_into(diffs, w.sq_diffs, w.totals)) / (2.0 * h)
-    weighted = np.fft.fft(np.multiply(prods, w.weights, out=w.weighted_prods), size, axis=-1,
-                          out=w.weighted)
+    n, h = path.degree_bound, path.h
+    action, w = _forward(path, alpha)
+    spectra = w.spectra
+    weighted = np.fft.fft(np.multiply(w.prods, w.weights, out=w.weighted_prods),
+                          spectra.shape[-1], axis=-1, out=w.weighted)
     # <prod_k, z**(j-1) delta_k> and <prod_k, z**j m_k'> for j < n: one
     # inverse FFT of the weighted products' spectrum times both conjugate
     # factor spectra.  The circular correlation reads product coefficients up
@@ -221,8 +224,9 @@ def action_and_gradient(path: DiscretePath, alpha: float) -> tuple[float, np.nda
     np.multiply(np.conjugate(spectra, out=spectra), weighted, out=spectra)
     corr_delta, corr_mid = np.fft.ifft(spectra, axis=-1, out=w.inverse)[..., :n]
     # the factors' arrays are free once their spectra are taken
+    delta, mid = w.factors
     shared = np.multiply(w.half_j, corr_delta, out=delta)
-    signed = np.multiply(alpha * np.pi, diffs, out=mid)
+    signed = np.multiply(alpha * np.pi, w.diffs, out=mid)
     np.add(corr_mid, signed, out=signed)
     grad = np.add(shared[:-1], signed[:-1], out=w.grad)
     grad += shared[1:]

@@ -21,11 +21,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .action import DiscretePath, action_and_gradient
+from .action import DiscretePath, _scratch, action_and_gradient
 from .errors import NoConvergenceError, NotConformalError
 from .poly import _count, _real, as_coeffs, check_alpha, derivative, monomial_weights
 
@@ -134,17 +133,18 @@ def certify_conformal(path: DiscretePath) -> np.ndarray:
     The samples are those of :func:`_samples`, one batched ring FFT, which
     lie within half of :func:`_margin` of Horner's rule at every grid point.
     A step that holds a NaN or an infinity gets NaN, and fails.  The
-    samples live in a workspace of :func:`_samples`; the certificate
-    returned is a fresh array.
+    samples are scratch arrays of :func:`~diskwarp.action._scratch`; the
+    certificate returned is a fresh array.
     """
     return np.min(_samples(derivative(path.steps)), axis=1)
 
 
 class _RingWorkspace:
-    """Every array of :func:`_samples` for derivatives of shape (rows, n):
-    the ring powers ``r**j``, the ring-scaled terms, the inverse FFT of the
-    folded terms and the samples, whose columns after the center's are
-    ``moduli``, the FFT's moduli in place."""
+    """Every array of :func:`_samples` for derivatives of shape (rows, n),
+    kept by :func:`~diskwarp.action._scratch`: the ring powers ``r**j``, the
+    ring-scaled terms, the inverse FFT of the folded terms and the samples,
+    whose columns after the center's are ``moduli``, the FFT's moduli in
+    place."""
 
     def __init__(self, rows: int, n: int):
         self.powers = _RINGS[:, None] ** np.arange(n)
@@ -152,14 +152,6 @@ class _RingWorkspace:
         self.inverse = np.empty((rows, len(_RINGS), _ANGLES), complex)
         self.samples = np.empty((rows, 1 + len(_RINGS) * _ANGLES))
         self.moduli = self.samples[:, 1:].reshape(self.inverse.shape)
-
-
-@lru_cache(maxsize=4)
-def _ring_workspace(thread: int, rows: int, n: int) -> _RingWorkspace:
-    """The workspace of :func:`_samples` for derivatives of shape (rows, n)
-    in the thread of that identifier; the last four keys are kept, as for
-    the kernel's :func:`~diskwarp.action._workspace`."""
-    return _RingWorkspace(rows, n)
 
 
 def _samples(d: np.ndarray) -> np.ndarray:
@@ -171,13 +163,14 @@ def _samples(d: np.ndarray) -> np.ndarray:
     inverse FFT of the ring-scaled coefficients ``d_j r**j``, folded mod M
     when n exceeds M, and all eight rings of all rows take one FFT call.
 
-    Every array, the returned samples included, belongs to a workspace per
-    thread and shape of ``d``, so the next call at that shape overwrites
-    them: a caller that keeps the samples must copy them.  The values are
-    those of the same operations on fresh arrays, bit for bit.
+    Every array, the returned samples included, belongs to a workspace from
+    :func:`~diskwarp.action._scratch` per thread and shape of ``d``, so the
+    next call at that shape overwrites them: a caller that keeps the
+    samples must copy them.  The values are those of the same operations on
+    fresh arrays, bit for bit.
     """
     rows, n = d.shape
-    w = _ring_workspace(threading.get_ident(), rows, n)
+    w = _scratch(_RingWorkspace, threading.get_ident(), rows, n)
     terms = np.multiply(d[:, None, :], w.powers, out=w.terms)
     for start in range(_ANGLES, n, _ANGLES):  # w**(j m) depends on j mod M only
         block = terms[..., start:start + _ANGLES]
@@ -333,15 +326,6 @@ def _inverse_hessian_along(steps: np.ndarray, alpha: float):
     return apply
 
 
-@lru_cache(maxsize=4)
-def _pair_rows(thread: int, size: int) -> np.ndarray:
-    """The rows that :func:`_lbfgs` stores its curvature pairs in, for
-    variables of that size in the thread of that identifier: (_MEMORY + 1,
-    2, size), one row per pair ``(s, y)``, and one more that no kept pair
-    holds.  The last four keys are kept."""
-    return np.empty((_MEMORY + 1, 2, size))
-
-
 def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     """Limited-memory BFGS with a backtracking line search from x, at which
     the caller evaluated f and g; ``_MEMORY`` pairs, steps cut by ``_BACKTRACK``.
@@ -349,9 +333,10 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     Returns (x, f, grad_sup_norm, iterations, accepted_action_history,
     termination); the history lists f at the start and at every accepted
     iterate, and the termination is ``"converged"``, ``"budget"`` or ``"line
-    search"``.  The pairs live in :func:`_pair_rows`, a workspace per thread
-    and size of x that persists across solves (see :func:`_keep_step`); the
-    x returned is a fresh array.
+    search"``.  The pairs live in rows ``(_MEMORY + 1, 2, x.size)`` from
+    :func:`~diskwarp.action._scratch`, one per pair ``(s, y)`` and one more
+    that no kept pair holds (see :func:`_keep_step`); the x returned is a
+    fresh array.
     ``inv_hess`` maps a gradient to its image under ``H0``, the initial
     inverse Hessian of the two-loop recursion (scaled there by ``s.y / y.H0 y``
     of the latest pair): ``solve`` passes the inverse of the metric along its
@@ -374,7 +359,7 @@ def _lbfgs(fun_grad, x, f, g, grad_tol, max_iters, inv_hess):
     """
     history = [f]
     pairs = deque(maxlen=_MEMORY)  # curvature pairs (s, y, 1 / s.y), oldest first
-    rows, slot = _pair_rows(threading.get_ident(), x.size), 0
+    rows, slot = _scratch(np.empty, threading.get_ident(), (_MEMORY + 1, 2, x.size)), 0
     gnorm = float(np.max(np.abs(g)))
     iters = 0
 
@@ -417,16 +402,19 @@ def _keep_step(pairs, rows, slot, x_new, x, g_new, g):
     The kept pairs hold the rows before ``slot``, cyclically, so a pair
     rejected while ``_MEMORY`` pairs are kept leaves the oldest intact."""
     s, y = rows[slot]
-    _keep_pair(pairs, np.subtract(x_new, x, out=s), np.subtract(g_new, g, out=y))
-    return (slot + 1) % len(rows) if pairs and pairs[-1][0] is s else slot
+    kept = _keep_pair(pairs, np.subtract(x_new, x, out=s), np.subtract(g_new, g, out=y))
+    return (slot + 1) % len(rows) if kept else slot
 
 
-def _keep_pair(pairs, s, y):
-    """Append ``(s, y, 1 / s.y)`` if ``s.y`` is positive beyond round-off."""
+def _keep_pair(pairs, s, y) -> bool:
+    """Append ``(s, y, 1 / s.y)`` if ``s.y`` is positive beyond round-off;
+    returns whether it did."""
     with np.errstate(all="ignore"):  # a norm that overflows keeps no pair
         sy = float(np.dot(s, y))
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
+            return True
+    return False
 
 
 def _two_loop_direction(g, pairs, inv_hess):

@@ -135,6 +135,8 @@ def test_fft_mode_matches_naive(alpha):
         a = discrete_action(path, alpha, "naive")
         b = discrete_action(path, alpha, "fft")
         assert abs(a - b) <= 1e-10 * (1 + abs(a))
+        if path.num_intervals >= 2:  # one forward pass serves both
+            assert b == action_and_gradient(path, alpha)[0]
 
 
 def test_action_rejects_unknown_mode():
@@ -260,25 +262,32 @@ def test_returned_gradient_survives_the_next_call():
     assert action_and_gradient(first, 0.3)[0] == action
 
 
-# (N, n) each thread cycles: with two threads, more (thread, shape) keys than
-# the kernel keeps workspaces for
-THREAD_SHAPES = [(20, 16), (10, 8), (6, 24)]
+# (N, n) each thread cycles: with two threads, 14 (thread, shape) keys, more
+# than the 12 that the scratch cache keeps
+THREAD_SHAPES = [(20, 16), (10, 8), (6, 24), (3, 5), (12, 12), (8, 3), (4, 33)]
+
+
+def _evaluate(path):
+    """The kernel's action and gradient, and the fft-mode action, which
+    writes into the same workspace."""
+    action, grad = action_and_gradient(path, 0.3)
+    return action, grad.tobytes(), discrete_action(path, 0.3, "fft")
 
 
 def test_concurrent_threads_keep_their_own_workspace():
-    """Two threads evaluating paths of three shapes each at the same time,
+    """Two threads evaluating paths of seven shapes each at the same time,
     which evicts one thread's workspaces while the other's are in use, get
     the bits that the same calls give one after another."""
     rng = np.random.default_rng(67)
-    paths = [[random_path(rng, *THREAD_SHAPES[k % len(THREAD_SHAPES)]) for k in range(200)]
+    paths = [[random_path(rng, *THREAD_SHAPES[k % len(THREAD_SHAPES)]) for k in range(210)]
              for _ in range(2)]
-    expected = [[action_and_gradient(path, 0.3) for path in batch] for batch in paths]
+    expected = [[_evaluate(path) for path in batch] for batch in paths]
     results = [None, None]
     start = threading.Barrier(2, timeout=60)
 
     def evaluate(i):
         start.wait()
-        results[i] = [action_and_gradient(path, 0.3) for path in paths[i]]
+        results[i] = [_evaluate(path) for path in paths[i]]
 
     threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()
@@ -291,5 +300,4 @@ def test_concurrent_threads_keep_their_own_workspace():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for got, want in zip(results, expected):
-        assert [(f, g.tobytes()) for f, g in got] == [(f, g.tobytes()) for f, g in want]
+    assert results == expected

@@ -474,8 +474,9 @@ def test_huge_alpha_fails_quietly(alpha):
             solve(SolverConfig(n=4, num_steps=20, alpha=alpha), [0, 1.01])
 
 
-# (N, n) of the cycle: more shapes than the kernel, the certificate and the
-# L-BFGS history each keep workspaces for
+# (N, n) of the cycle: each solve takes a scratch key for the kernel, one for
+# the certificate and one for the L-BFGS history, 17 distinct keys in all
+# ((12, 12) and (5, 33) share a history size), more than the 12 kept
 CYCLED_SHAPES = [(6, 4), (10, 8), (20, 16), (8, 24), (12, 12), (5, 33)]
 CYCLE_TARGET = [0, 0.9, 0.1, 0.05j, -0.02]
 
@@ -592,7 +593,8 @@ def test_pair_rows_match_a_deque_of_fresh_pairs():
     inv_hess = solver_module._inverse_hessian_along(
         initial_guess(rng.standard_normal(n) + 0j, num_steps).steps, 0.1)
     size = 2 * n * (num_steps - 1)
-    rows = solver_module._pair_rows(threading.get_ident(), size)
+    rows = solver_module._scratch(np.empty, threading.get_ident(),
+                                  (solver_module._MEMORY + 1, 2, size))
     pairs, reference = deque(maxlen=solver_module._MEMORY), deque(maxlen=solver_module._MEMORY)
     slot = 0
     x, g = rng.standard_normal(size), rng.standard_normal(size)
